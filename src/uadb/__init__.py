@@ -9,11 +9,8 @@ variance, which concentrates on the teacher's mistakes.
 from .booster import (
     BoosterConfig,
     BoosterResult,
-    CaseScores,
     InputConditioner,
-    PseudoLabelMatrix,
     Strategy,
-    VarianceVector,
     classify_cases,
     correction_trace,
     per_instance_variance,
@@ -47,12 +44,10 @@ from .detectors import (
     save_scores,
 )
 from .metrics import (
-    EvalReport,
     VacuousCorrectionWarning,
     aucroc,
     average_precision,
     correction_rate,
-    evaluate,
     threshold_predictions,
     variance_gap,
 )
@@ -73,29 +68,24 @@ __version__ = "0.1.0"
 __all__ = [
     "BoosterConfig",
     "BoosterResult",
-    "CaseScores",
     "DataError",
     "Dataset",
     "DegenerateDataWarning",
     "DetectorKind",
     "DetectorParams",
-    "EvalReport",
     "InputConditioner",
     "Loss",
     "MlpModel",
-    "PseudoLabelMatrix",
     "ScoreVector",
     "Strategy",
     "SyntheticKind",
     "TrainSpec",
     "VacuousCorrectionWarning",
-    "VarianceVector",
     "aucroc",
     "average_precision",
     "classify_cases",
     "correction_rate",
     "correction_trace",
-    "evaluate",
     "fit_score",
     "fit_score_hbos",
     "fit_score_iforest",

@@ -58,54 +58,6 @@ class Strategy(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PseudoLabelMatrix:
-    """Ordered pseudo-label columns; column 0 is the normalized teacher."""
-
-    columns: tuple[ScoreVector, ...]
-
-    def __post_init__(self):
-        if not self.columns:
-            raise ValueError("need at least one pseudo-label column")
-        n = len(self.columns[0])
-        for c in self.columns:
-            if not c.normalized:
-                raise ValueError("pseudo-label columns must be normalized")
-            if len(c) != n:
-                raise ValueError("pseudo-label columns must share one length")
-        object.__setattr__(self, "columns", tuple(self.columns))
-
-    @property
-    def n(self) -> int:
-        return len(self.columns[0])
-
-    @property
-    def t(self) -> int:
-        return len(self.columns)
-
-    def as_array(self) -> np.ndarray:
-        return np.column_stack([c.values for c in self.columns])
-
-    def appended(self, column: ScoreVector) -> "PseudoLabelMatrix":
-        return PseudoLabelMatrix(self.columns + (column,))
-
-
-@dataclass(frozen=True)
-class VarianceVector:
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError(f"variance vector must be 1-d, got shape {v.shape}")
-        if not np.all(np.isfinite(v)) or v.size and v.min() < 0.0:
-            raise ValueError("variances must be finite and non-negative")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class BoosterConfig:
     """Loop length T, cross-fitting folds, strategy, and training settings.
 
@@ -135,8 +87,11 @@ class InputConditioner:
     """Affine feature transform fitted on the training matrix.
 
     center is the column mean; rotation the orthonormal eigenvectors of the
-    covariance; scale a per-direction robust spread (1.4826 * MAD, floored
-    at 1e-12 so constant directions map to zero rather than dividing by 0).
+    covariance; scale a per-direction robust spread (1.4826 * MAD). Where
+    the MAD is exactly 0 (half or more of the rows share one value, as
+    with sparse binary features) the direction's standard deviation
+    stands in; the scale is floored at 1e-12 so constant directions map
+    to zero rather than dividing by 0.
     """
 
     center: np.ndarray
@@ -150,7 +105,8 @@ class InputConditioner:
         _, vecs = np.linalg.eigh(cov)
         Z = (X - mu) @ vecs
         mad = np.median(np.abs(Z - np.median(Z, axis=0)), axis=0) * 1.4826
-        return cls(mu, vecs, np.maximum(mad, 1e-12))
+        spread = np.where(mad > 0.0, mad, Z.std(axis=0))
+        return cls(mu, vecs, np.maximum(spread, 1e-12))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -161,55 +117,45 @@ class InputConditioner:
 class BoosterResult:
     """Final normalized scores plus the full label/variance trajectory.
 
+    label_history is an (n, t) float64 array of pseudo-label columns:
+    column 0 is the normalized teacher, then one column per iteration
+    (t = T + 1 for uadb, self and discrepancy-star; t = 1 for naive and
+    discrepancy, which keep the static labels). variance_history is an
+    (n, k) float64 array with one column per variance step: k = T for uadb,
+    k = 0 for every other strategy.
+
     diagnostics holds one row per training iteration (AUCROC of that
     iteration's out-of-fold predictions); only computed when the dataset
     carries ground-truth labels.
     """
 
     final_scores: ScoreVector
-    label_history: PseudoLabelMatrix
-    variance_history: tuple[VarianceVector, ...]
+    label_history: np.ndarray
+    variance_history: np.ndarray
     diagnostics: tuple[dict, ...] = ()
     models: tuple[MlpModel, ...] = ()
     conditioner: InputConditioner | None = None
 
 
-@dataclass(frozen=True)
-class CaseScores:
-    """Updated scores of the four teacher-outcome archetypes (test fixture)."""
-
-    s_tp: float
-    s_fp: float
-    s_fn: float
-    s_tn: float
-
-    @property
-    def gap(self) -> float:
-        return self.s_fp - self.s_fn
-
-    @classmethod
-    def from_vector(cls, y) -> "CaseScores":
-        v = np.asarray(y, dtype=np.float64)
-        if v.shape != (4,):
-            raise ValueError(f"expected a 4-vector ordered TP, FP, FN, TN, got shape {v.shape}")
-        return cls(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
+def per_instance_variance(history: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Population variance per row over the (n, t) history columns plus the current prediction."""
+    history = np.asarray(history, dtype=np.float64)
+    current = np.asarray(current, dtype=np.float64)
+    if history.ndim != 2 or current.shape != (history.shape[0],):
+        raise ValueError(f"need history (n, t) and current (n,), got {history.shape} and {current.shape}")
+    return np.var(np.column_stack([history, current]), axis=1)
 
 
-def per_instance_variance(history: PseudoLabelMatrix, current: ScoreVector) -> VarianceVector:
-    """Population variance per row over history columns plus the current prediction."""
-    if len(current) != history.n:
-        raise ValueError(f"current length {len(current)} != history length {history.n}")
-    stacked = np.column_stack([history.as_array(), current.values])
-    return VarianceVector(np.var(stacked, axis=1))
-
-
-def update_pseudo_labels(y: ScoreVector, v: VarianceVector) -> ScoreVector:
+def update_pseudo_labels(y: ScoreVector, v: np.ndarray) -> ScoreVector:
     """Add the variance correction, then renormalize to [0, 1]."""
+    v = np.asarray(v, dtype=np.float64)
     if not y.normalized:
         raise ValueError("pseudo labels must be normalized")
-    if len(y) != len(v):
-        raise ValueError(f"length mismatch: labels {len(y)}, variances {len(v)}")
-    return minmax_scale(ScoreVector(y.values + v.values))
+    if v.shape != (len(y),):
+        raise ValueError(f"variances must have shape ({len(y)},), got {v.shape}")
+    if not (np.all(np.isfinite(v)) and np.all(v >= 0.0)):
+        raise ValueError("variances must be finite and non-negative")
+    return minmax_scale(ScoreVector(y.values + v))
 
 
 def _assign_folds(n: int, fold_count: int, seed: int) -> np.ndarray:
@@ -282,35 +228,35 @@ def run_booster(ds: Dataset, teacher: ScoreVector, cfg: BoosterConfig) -> Booste
         raise ValueError(f"teacher length {len(teacher)} != dataset rows {ds.n}")
     labeled = ds.labels is not None
     y1 = minmax_scale(teacher)
-    history = PseudoLabelMatrix((y1,))
-    variances: list[VarianceVector] = []
     diagnostics: list[dict] = []
     conditioner = InputConditioner.fit(ds.features)
     ensemble = _FoldEnsemble.build(conditioner.apply(ds.features), cfg)
 
+    # naive/discrepancy keep the static labels; their history stays one column
     single_pass = cfg.strategy in (Strategy.NAIVE, Strategy.DISCREPANCY)
     rounds = 1 if single_pass else cfg.T
+    history = np.empty((ds.n, 1 if single_pass else rounds + 1))
+    history[:, 0] = y1.values
+    variances = np.empty((ds.n, rounds if cfg.strategy is Strategy.UADB else 0))
     current = y1
     for t in range(1, rounds + 1):
         ensemble.train_round(current, t)
-        p = ScoreVector(ensemble.out_of_fold())
+        p = ensemble.out_of_fold()
         if labeled:
             diagnostics.append(
                 {
                     "iteration": t,
-                    "aucroc": aucroc(p.values, ds.labels),
-                    "ap": average_precision(p.values, ds.labels),
+                    "aucroc": aucroc(p, ds.labels),
+                    "ap": average_precision(p, ds.labels),
                 }
             )
         if cfg.strategy is Strategy.UADB:
-            v = per_instance_variance(history, p)
-            variances.append(v)
-            current = update_pseudo_labels(current, v)
-            history = history.appended(current)
+            variances[:, t - 1] = per_instance_variance(history[:, :t], p)
+            current = update_pseudo_labels(current, variances[:, t - 1])
         elif cfg.strategy in (Strategy.SELF, Strategy.DISCREPANCY_STAR):
-            current = minmax_scale(p)
-            history = history.appended(current)
-        # naive/discrepancy keep the static labels; history stays one column
+            current = minmax_scale(ScoreVector(p))
+        if not single_pass:
+            history[:, t] = current.values
 
     booster_out = ensemble.inference()
     if cfg.strategy in (Strategy.DISCREPANCY, Strategy.DISCREPANCY_STAR):
@@ -320,7 +266,7 @@ def run_booster(ds: Dataset, teacher: ScoreVector, cfg: BoosterConfig) -> Booste
     return BoosterResult(
         final_scores=minmax_scale(ScoreVector(final)),
         label_history=history,
-        variance_history=tuple(variances),
+        variance_history=variances,
         diagnostics=tuple(diagnostics),
         models=tuple(ensemble.models),
         conditioner=conditioner,
@@ -338,7 +284,7 @@ def score_points(result: BoosterResult, X: np.ndarray) -> np.ndarray:
 
 
 def classify_cases(
-    teacher: ScoreVector, labels: np.ndarray, threshold: float | None = None
+    teacher: ScoreVector | np.ndarray, labels: np.ndarray, threshold: float | None = None
 ) -> dict[str, np.ndarray]:
     """Split rows into TP/FP/FN/TN by thresholding the teacher's scores.
 
@@ -351,7 +297,7 @@ def classify_cases(
     n = len(teacher)
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
-    predicted = threshold_predictions(teacher.values, int(labels.sum()), threshold)
+    predicted = threshold_predictions(teacher, int(labels.sum()), threshold)
     actual = labels == 1
     cases = {
         "TP": predicted & actual,
@@ -374,10 +320,11 @@ def correction_trace(
     """
     if ds.labels is None:
         raise ValueError("correction_trace requires ground-truth labels")
-    cases = classify_cases(result.label_history.columns[0], ds.labels, threshold)
-    trace = {name: np.empty(result.label_history.t) for name in cases}
-    for col, scores in enumerate(result.label_history.columns):
-        ranks = rankdata(scores.values, method="average")
+    history = result.label_history
+    cases = classify_cases(history[:, 0], ds.labels, threshold)
+    trace = {name: np.empty(history.shape[1]) for name in cases}
+    for col in range(history.shape[1]):
+        ranks = rankdata(history[:, col], method="average")
         for name, rows in cases.items():
             trace[name][col] = ranks[rows].mean()
     return trace

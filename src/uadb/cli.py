@@ -67,8 +67,20 @@ def _load_config(path: str) -> dict:
     return blob
 
 
+def _fits_flag(action: argparse.Action, value) -> bool:
+    """Whether a config-file value has the type and choice its flag declares."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        return isinstance(value, bool)
+    expected = (int, float) if action.type is float else action.type or str
+    return (
+        isinstance(value, expected)
+        and not isinstance(value, bool)
+        and (action.choices is None or value in action.choices)
+    )
+
+
 def _merge(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
-    """Flags beat config-file values beat defaults; reject unknown keys."""
+    """Flags beat config-file values beat defaults; reject unknown keys and mistyped values."""
     unknown = set(config) - set(defaults)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -77,6 +89,8 @@ def _merge(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
         value = getattr(args, key, None)
         if value is None:
             value = config.get(key)
+            if value is not None and not _fits_flag(args.flags[key], value):
+                raise UsageError(f"config value {key}={value!r} is not a valid --{key.replace('_', '-')}")
         if value is None:
             value = default
         resolved[key] = value
@@ -147,14 +161,14 @@ def _run_metrics(ds: Dataset, teacher: ScoreVector, result: BoosterResult) -> di
         },
         "iterations": list(result.diagnostics),
     }
-    if result.variance_history:
-        out["booster"]["variance_gap"] = variance_gap(result.variance_history[-1], y)
+    if result.variance_history.shape[1]:
+        out["booster"]["variance_gap"] = variance_gap(result.variance_history[:, -1], y)
     return out
 
 
 def _save_history(result: BoosterResult, path: str) -> None:
     """Label history as CSV, one column per iteration (y1 = teacher)."""
-    matrix = result.label_history.as_array()
+    matrix = result.label_history
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"y{t + 1}" for t in range(matrix.shape[1])])
@@ -482,6 +496,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_booster_args(p)
     _add_common(p)
 
+    for p in sub.choices.values():
+        # _merge checks config-file values against each flag's declared type
+        p.set_defaults(flags={a.dest: a for a in p._actions})
     return parser
 
 

@@ -10,9 +10,7 @@ boosted scores fix.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -20,31 +18,6 @@ from scipy.stats import rankdata
 
 class VacuousCorrectionWarning(UserWarning):
     """Teacher made no errors, so the correction rate is vacuously 1."""
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Evaluation summary; serializes with fixed JSON field names."""
-
-    aucroc: float
-    ap: float
-    n_pos: int
-    n_neg: int
-    correction_rate: float | None = None
-    variance_gap: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "aucroc": self.aucroc,
-            "ap": self.ap,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "correction_rate": self.correction_rate,
-            "variance_gap": self.variance_gap,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
 
 
 def _values(scores) -> np.ndarray:
@@ -146,21 +119,3 @@ def correction_rate(teacher, booster, labels, threshold: float | None = None) ->
     booster_right = threshold_predictions(b, n_pos, threshold) == actual
     return float((teacher_wrong & booster_right).sum() / teacher_wrong.sum())
 
-
-def evaluate(
-    scores,
-    labels,
-    correction: float | None = None,
-    gap: float | None = None,
-) -> EvalReport:
-    """Bundle the ranking metrics (and optional extras) into an EvalReport."""
-    y = _binary_labels(labels, _values(scores).size)
-    n_pos = int(y.sum())
-    return EvalReport(
-        aucroc=aucroc(scores, labels),
-        ap=average_precision(scores, labels),
-        n_pos=n_pos,
-        n_neg=int(y.size - n_pos),
-        correction_rate=correction,
-        variance_gap=gap,
-    )

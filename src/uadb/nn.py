@@ -40,7 +40,7 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
 CHECKPOINT_FORMAT = "uadb-mlp"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class Loss(enum.Enum):
@@ -74,7 +74,6 @@ class MlpModel:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
     seed: int = 0
     hidden: int = field(default=128)
 
@@ -90,7 +89,6 @@ class MlpModel:
         return MlpModel(
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
-            self.activation,
             self.seed,
             self.hidden,
         )
@@ -126,7 +124,7 @@ def init_mlp(d: int, seed: int = 0, hidden: int = 128) -> MlpModel:
         else:
             b = np.zeros(fan_out)
         biases.append(b)
-    return MlpModel(weights, biases, "relu", seed, hidden)
+    return MlpModel(weights, biases, seed, hidden)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -140,8 +138,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _forward_trace(m: MlpModel, X: np.ndarray):
     """Forward pass keeping pre/post-activation values for backprop."""
-    if m.activation != "relu":
-        raise ValueError(f"unsupported activation: {m.activation!r}")
     z1 = X @ m.weights[0] + m.biases[0]
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ m.weights[1] + m.biases[1]
@@ -225,11 +221,6 @@ def train(m: MlpModel, X: np.ndarray, y: ScoreVector, spec: TrainSpec) -> MlpMod
     return out
 
 
-def training_loss(m: MlpModel, X: np.ndarray, y: ScoreVector, loss: Loss = Loss.CROSS_ENTROPY) -> float:
-    value, _ = _loss_and_grads(m, np.asarray(X, dtype=np.float64), y.values, loss)
-    return value
-
-
 def gradient_check(
     m: MlpModel, X: np.ndarray, y: ScoreVector, loss: Loss = Loss.CROSS_ENTROPY
 ) -> float:
@@ -268,7 +259,6 @@ def save_checkpoint(m: MlpModel, path: str | Path) -> None:
         "version": CHECKPOINT_VERSION,
         "d": m.d,
         "hidden": m.hidden,
-        "activation": m.activation,
         "seed": m.seed,
         "weights": [w.tolist() for w in m.weights],
         "biases": [b.tolist() for b in m.biases],
@@ -285,4 +275,4 @@ def load_checkpoint(path: str | Path) -> MlpModel:
     expected = [(blob["d"], blob["hidden"]), (blob["hidden"], blob["hidden"]), (blob["hidden"], 1)]
     if [w.shape for w in weights] != expected:
         raise ValueError(f"{path}: weight shapes do not match declared architecture")
-    return MlpModel(weights, biases, blob["activation"], blob["seed"], blob["hidden"])
+    return MlpModel(weights, biases, blob["seed"], blob["hidden"])

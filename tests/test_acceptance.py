@@ -21,7 +21,6 @@ from uadb import (
     Strategy,
     SyntheticKind,
     TrainSpec,
-    VarianceVector,
     aucroc,
     average_precision,
     correction_rate,
@@ -34,7 +33,6 @@ from uadb import (
     run_booster,
     update_pseudo_labels,
 )
-from uadb.booster import PseudoLabelMatrix
 from uadb.cli import main
 from uadb.data import Dataset
 from uadb.rng import Stream
@@ -81,7 +79,7 @@ def test_criterion_1_gap_narrowing_law():
         delta = 0.01 + u[3] * 0.04  # v_h - v_l, bounded away from 0
         v_h = v_l + delta
         y = _norm([1.0, y_fp, y_fn, 0.0])
-        v = VarianceVector(np.array([v_h, v_l, v_h, v_l]))
+        v = np.array([v_h, v_l, v_h, v_l])
 
         out = update_pseudo_labels(y, v).values
         got_gap = out[1] - out[2]
@@ -195,10 +193,10 @@ def test_criterion_4_knn_and_variance_oracles():
     for _ in range(50):
         n = 2 + stream.index(40)
         t = 1 + stream.index(8)
-        cols = tuple(_norm(stream.uniform(n)) for _ in range(t))
-        current = _norm(stream.uniform(n))
-        got = per_instance_variance(PseudoLabelMatrix(cols), current).values
-        stacked = np.column_stack([c.values for c in cols] + [current.values])
+        history = np.column_stack([stream.uniform(n) for _ in range(t)])
+        current = stream.uniform(n)
+        got = per_instance_variance(history, current)
+        stacked = np.column_stack([history, current])
         oracle = np.empty(n)
         for i, row in enumerate(stacked):
             mu = sum(row) / len(row)
@@ -224,7 +222,7 @@ def suite_runs():
             ds = generate_synthetic(kind, seed=s)
             teacher = fit_score(ds, DetectorParams(kind=det, seed=s))
             res = run_booster(ds, teacher, BoosterConfig(seed=s, train=TrainSpec(seed=s)))
-            v = res.variance_history[-1].values
+            v = res.variance_history[:, -1]
             rows.append(
                 {
                     "delta": aucroc(res.final_scores, ds.labels) - aucroc(teacher, ds.labels),

@@ -5,17 +5,14 @@ import pytest
 
 from uadb import (
     BoosterConfig,
-    CaseScores,
     Dataset,
     DetectorKind,
     DetectorParams,
     InputConditioner,
-    PseudoLabelMatrix,
     ScoreVector,
     Strategy,
     SyntheticKind,
     TrainSpec,
-    VarianceVector,
     aucroc,
     classify_cases,
     correction_trace,
@@ -44,30 +41,7 @@ def _norm(values) -> ScoreVector:
 
 
 # ---------------------------------------------------------------------------
-# containers
-
-
-def test_pseudo_label_matrix_validation():
-    col = _norm([0.1, 0.9])
-    m = PseudoLabelMatrix((col,))
-    assert m.n == 2 and m.t == 1
-    m2 = m.appended(_norm([0.5, 0.5]))
-    assert m2.t == 2 and m.t == 1
-    assert m2.as_array().shape == (2, 2)
-    with pytest.raises(ValueError):
-        PseudoLabelMatrix(())
-    with pytest.raises(ValueError):
-        PseudoLabelMatrix((ScoreVector(np.array([0.1, 0.9])),))  # not normalized
-    with pytest.raises(ValueError):
-        PseudoLabelMatrix((col, _norm([0.1, 0.2, 0.3])))
-
-
-def test_variance_vector_validation():
-    assert len(VarianceVector(np.array([0.0, 0.2]))) == 2
-    with pytest.raises(ValueError):
-        VarianceVector(np.array([-0.1]))
-    with pytest.raises(ValueError):
-        VarianceVector(np.array([np.nan]))
+# config
 
 
 def test_booster_config_validation():
@@ -80,49 +54,39 @@ def test_booster_config_validation():
     assert cfg.strategy is Strategy.UADB
 
 
-def test_case_scores_from_vector():
-    cs = CaseScores.from_vector([1.0, 0.87, 0.13, 0.0])
-    assert cs.s_tp == 1.0 and cs.s_tn == 0.0
-    assert cs.gap == pytest.approx(0.74)
-    with pytest.raises(ValueError):
-        CaseScores.from_vector([1.0, 0.5])
-
-
 # ---------------------------------------------------------------------------
 # variance and label update
 
 
 def test_variance_equal_entries_is_zero():
-    history = PseudoLabelMatrix((_norm([0.2, 0.2]),))
-    v = per_instance_variance(history, _norm([0.2, 0.2]))
-    assert v.values.tolist() == [0.0, 0.0]
+    v = per_instance_variance(np.array([[0.2], [0.2]]), np.array([0.2, 0.2]))
+    assert v.tolist() == [0.0, 0.0]
 
 
 def test_variance_of_zero_one_pair():
-    history = PseudoLabelMatrix((_norm([0.0]),))
-    v = per_instance_variance(history, _norm([1.0]))
-    assert v.values.tolist() == [0.25]
+    v = per_instance_variance(np.array([[0.0]]), np.array([1.0]))
+    assert v.tolist() == [0.25]
 
 
 def test_variance_matches_two_pass_oracle():
     stream = Stream(17)
-    cols = tuple(_norm(stream.uniform(30)) for _ in range(5))
-    history = PseudoLabelMatrix(cols)
-    current = _norm(stream.uniform(30))
-    got = per_instance_variance(history, current).values
-    stacked = np.column_stack([history.as_array(), current.values])
+    history = np.column_stack([stream.uniform(30) for _ in range(5)])
+    current = stream.uniform(30)
+    got = per_instance_variance(history, current)
+    stacked = np.column_stack([history, current])
     np.testing.assert_allclose(got, _oracle_two_pass_variance(stacked), atol=1e-12)
 
 
 def test_variance_length_mismatch():
-    history = PseudoLabelMatrix((_norm([0.1, 0.2]),))
     with pytest.raises(ValueError):
-        per_instance_variance(history, _norm([0.1]))
+        per_instance_variance(np.array([[0.1], [0.2]]), np.array([0.1]))
+    with pytest.raises(ValueError):
+        per_instance_variance(np.array([0.1, 0.2]), np.array([0.1, 0.2]))  # history not (n, t)
 
 
 def test_update_identity_when_variance_zero():
     y = _norm([0.0, 0.3, 1.0])
-    out = update_pseudo_labels(y, VarianceVector(np.zeros(3)))
+    out = update_pseudo_labels(y, np.zeros(3))
     assert np.array_equal(out.values, y.values)
 
 
@@ -130,35 +94,43 @@ def test_update_case_fixture_exact():
     """TP,FP,FN,TN = [1,1,0,0] with v = [0.2,0.05,0.2,0.05]: the affine map
     is (x - 0.05)/1.15, so FP drops below 1 and FN rises above 0."""
     y = _norm([1.0, 1.0, 0.0, 0.0])
-    v = VarianceVector(np.array([0.2, 0.05, 0.2, 0.05]))
-    out = update_pseudo_labels(y, v).values
+    out = update_pseudo_labels(y, np.array([0.2, 0.05, 0.2, 0.05])).values
     expected = (np.array([1.2, 1.05, 0.2, 0.05]) - 0.05) / 1.15
     np.testing.assert_allclose(out, expected, atol=1e-15)
-    cs = CaseScores.from_vector(out)
-    assert cs.s_tp == 1.0 and cs.s_tn == 0.0
-    assert cs.s_fp < 1.0 and cs.s_fn > 0.0
+    s_tp, s_fp, s_fn, s_tn = out
+    assert s_tp == 1.0 and s_tn == 0.0
+    assert s_fp < 1.0 and s_fn > 0.0
 
 
 def test_update_iteration_narrows_gap_monotonically():
     y = _norm([1.0, 1.0, 0.0, 0.0])
-    v = VarianceVector(np.array([0.2, 0.05, 0.2, 0.05]))
+    v = np.array([0.2, 0.05, 0.2, 0.05])
     gap = 1.0
     for _ in range(40):
         y = update_pseudo_labels(y, v)
-        cs = CaseScores.from_vector(y.values)
-        assert cs.s_tp == 1.0 and cs.s_tn == 0.0  # extremes stay anchored
+        s_tp, s_fp, s_fn, s_tn = y.values
+        assert s_tp == 1.0 and s_tn == 0.0  # extremes stay anchored
         if gap <= 0.0:
             break
-        assert cs.gap < gap
-        gap = cs.gap
+        assert s_fp - s_fn < gap
+        gap = s_fp - s_fn
     assert gap <= 0.0  # false negative eventually outranks false positive
 
 
 def test_update_validation():
     with pytest.raises(ValueError):
-        update_pseudo_labels(ScoreVector(np.array([0.5, 2.0])), VarianceVector(np.zeros(2)))
+        update_pseudo_labels(ScoreVector(np.array([0.5, 2.0])), np.zeros(2))
     with pytest.raises(ValueError):
-        update_pseudo_labels(_norm([0.5, 0.5]), VarianceVector(np.zeros(3)))
+        update_pseudo_labels(_norm([0.5, 0.5]), np.zeros(3))
+
+
+def test_variance_vector_validation():
+    assert len(update_pseudo_labels(_norm([0.5, 0.5]), np.array([0.0, 0.2]))) == 2
+    with pytest.raises(ValueError):
+        update_pseudo_labels(_norm([0.5, 0.5]), np.zeros((2, 1)))
+    for bad in (-0.1, np.nan, np.inf):  # variances must be finite and non-negative
+        with pytest.raises(ValueError):
+            update_pseudo_labels(_norm([0.5, 0.5]), np.array([0.0, bad]))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +158,8 @@ def test_history_column_count_minimal():
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
     cfg = BoosterConfig(T=1, fold_count=1)
     res = run_booster(ds, teacher, cfg)
-    assert res.label_history.t == 2
-    assert len(res.variance_history) == 1
+    assert res.label_history.shape == (30, 2)
+    assert res.variance_history.shape == (30, 1)
     assert len(res.models) == 1
 
 
@@ -197,8 +169,9 @@ def test_history_first_column_is_normalized_teacher():
     res = run_booster(ds, teacher, BoosterConfig(T=2, fold_count=2))
     from uadb import minmax_scale
 
-    assert np.array_equal(res.label_history.columns[0].values, minmax_scale(teacher).values)
-    hist = res.label_history.as_array()
+    hist = res.label_history
+    assert hist.dtype == np.float64
+    assert np.array_equal(hist[:, 0], minmax_scale(teacher).values)
     assert hist.min() >= 0.0 and hist.max() <= 1.0
     assert res.final_scores.normalized
 
@@ -218,7 +191,7 @@ def test_history_columns_per_strategy(strategy, columns):
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
     cfg = BoosterConfig(T=3, fold_count=2, strategy=strategy)
     res = run_booster(ds, teacher, cfg)
-    assert res.label_history.t == columns
+    assert res.label_history.shape == (30, columns)
     assert len(res.diagnostics) == (1 if columns == 1 else 3)
 
 
@@ -226,7 +199,7 @@ def test_variance_history_only_for_uadb():
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=2)
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
     res = run_booster(ds, teacher, BoosterConfig(T=2, fold_count=1, strategy=Strategy.SELF))
-    assert res.variance_history == ()
+    assert res.variance_history.shape == (30, 0)
 
 
 def test_run_booster_deterministic():
@@ -236,9 +209,8 @@ def test_run_booster_deterministic():
     a = run_booster(ds, teacher, cfg)
     b = run_booster(ds, teacher, cfg)
     assert np.array_equal(a.final_scores.values, b.final_scores.values)
-    assert np.array_equal(a.label_history.as_array(), b.label_history.as_array())
-    for va, vb in zip(a.variance_history, b.variance_history):
-        assert np.array_equal(va.values, vb.values)
+    assert np.array_equal(a.label_history, b.label_history)
+    assert np.array_equal(a.variance_history, b.variance_history)
 
 
 def test_run_booster_seed_changes_result():
@@ -259,7 +231,7 @@ def test_constant_teacher_degenerates_to_half():
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=5)
     teacher = ScoreVector(np.full(30, 3.7))
     res = run_booster(ds, teacher, BoosterConfig(T=1, fold_count=1))
-    assert np.all(res.label_history.columns[0].values == 0.5)
+    assert np.all(res.label_history[:, 0] == 0.5)
 
 
 def test_unlabeled_dataset_has_no_diagnostics():
@@ -321,6 +293,21 @@ def test_conditioner_constant_direction_maps_to_zero():
     assert np.all(np.isfinite(Z))
 
 
+def test_conditioner_sparse_binary_features_stay_bounded():
+    """Bernoulli(0.1) columns have MAD 0 in every rotated direction; the
+    standard deviation must stand in so inputs do not saturate the network."""
+    X = (Stream(5).uniform(1200).reshape(600, 2) < 0.1).astype(float)
+    c = InputConditioner.fit(X)
+    assert np.all(c.scale > 0.1)
+    assert np.abs(c.apply(X)).max() < 10.0
+    ds = Dataset(features=X, name="binary")
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.HBOS))
+    res = run_booster(ds, teacher, BoosterConfig())
+    distinct_rows = np.unique(X, axis=0, return_inverse=True)[1].ravel()
+    per_row = {float(res.final_scores.values[distinct_rows == r][0]) for r in range(4)}
+    assert len(per_row) == 4
+
+
 def test_score_points_uses_training_transform(clustered_default_run):
     ds, _, result = clustered_default_run
     grid = np.array([[0.0, 0.0], [6.0, 6.0], [-3.0, 9.0]])
@@ -337,8 +324,8 @@ def test_score_points_requires_models():
 
     empty = BoosterResult(
         final_scores=_norm([0.5, 0.5]),
-        label_history=PseudoLabelMatrix((_norm([0.5, 0.5]),)),
-        variance_history=(),
+        label_history=np.full((2, 1), 0.5),
+        variance_history=np.empty((2, 0)),
     )
     with pytest.raises(ValueError):
         score_points(empty, np.zeros((1, 2)))
@@ -369,8 +356,8 @@ def test_classify_cases_perfect_teacher_drops_empty_cases():
 def test_correction_trace_rank_identity(clustered_default_run):
     ds, _, result = clustered_default_run
     trace = correction_trace(result, ds)
-    cases = classify_cases(result.label_history.columns[0], ds.labels)
-    for col in range(result.label_history.t):
+    cases = classify_cases(result.label_history[:, 0], ds.labels)
+    for col in range(result.label_history.shape[1]):
         weighted = sum(trace[name][col] * len(rows) for name, rows in cases.items())
         assert weighted / ds.n == pytest.approx((ds.n + 1) / 2, abs=1e-9)
 

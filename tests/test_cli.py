@@ -328,6 +328,23 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"iterations": "3"},
+        {"folds": 2.5},
+        {"seed": "x"},
+        {"scale": "yes"},
+        {"teacher": "banana"},
+    ],
+)
+def test_mistyped_config_value_is_usage_error(clustered_csv, tmp_path, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"teacher": "hbos", "iterations": 1, **bad}), encoding="utf-8")
+    assert main(["boost", "--data", str(clustered_csv), "--config", str(cfg)]) == 2
+    assert f"config value {next(iter(bad))}=" in capsys.readouterr().err
+
+
 def test_seed_env_var_default(tmp_path, monkeypatch):
     monkeypatch.setenv("UADB_SEED", "9")
     rep = tmp_path / "rep.json"

@@ -1,18 +1,14 @@
 """Ranking metrics against pairwise/definitional oracles, plus error accounting."""
 
-import json
-
 import numpy as np
 import pytest
 
 from uadb import (
-    EvalReport,
     ScoreVector,
     VacuousCorrectionWarning,
     aucroc,
     average_precision,
     correction_rate,
-    evaluate,
     threshold_predictions,
     variance_gap,
 )
@@ -137,7 +133,7 @@ def test_variance_gap_validation():
 def test_variance_gap_negative_on_boosted_clustered(clustered_default_run):
     """Anomalies accumulate the larger variance, driving the gap negative."""
     ds, _, result = clustered_default_run
-    assert variance_gap(result.variance_history[-1], ds.labels) < 0.0
+    assert variance_gap(result.variance_history[:, -1], ds.labels) < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +180,3 @@ def test_correction_rate_length_check():
     with pytest.raises(ValueError):
         correction_rate(np.array([0.1, 0.2]), np.array([0.1]), np.array([0, 1]))
 
-
-# ---------------------------------------------------------------------------
-# report bundling
-
-
-def test_eval_report_json_field_names():
-    report = evaluate(np.array([0.9, 0.8, 0.2]), np.array([1, 1, 0]), gap=-0.25)
-    blob = json.loads(report.to_json())
-    assert list(blob) == ["aucroc", "ap", "n_pos", "n_neg", "correction_rate", "variance_gap"]
-    assert blob["aucroc"] == 1.0 and blob["ap"] == 1.0
-    assert blob["n_pos"] == 2 and blob["n_neg"] == 1
-    assert blob["correction_rate"] is None
-    assert blob["variance_gap"] == -0.25
-
-
-def test_eval_report_is_frozen():
-    report = EvalReport(aucroc=0.5, ap=0.5, n_pos=1, n_neg=1)
-    with pytest.raises(AttributeError):
-        report.aucroc = 0.9

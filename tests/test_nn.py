@@ -13,7 +13,6 @@ from uadb.nn import (
     load_checkpoint,
     save_checkpoint,
     train,
-    training_loss,
 )
 from uadb.rng import Stream
 
@@ -141,15 +140,14 @@ def test_gradient_independent_finite_difference():
     """Independent route: perturb one weight by hand, difference the loss."""
     m = init_mlp(2, seed=21, hidden=3)
     X, y = _tiny_batch(77, n=4, d=2)
-    h = 1e-6
-    base = training_loss(m, X, y, Loss.CROSS_ENTROPY)
-    probe = m.copy()
-    probe.weights[0][1, 2] += h
-    fd = (training_loss(probe, X, y, Loss.CROSS_ENTROPY) - base) / h
-
     from uadb.nn import _loss_and_grads
 
-    _, grads = _loss_and_grads(m, X, y.values, Loss.CROSS_ENTROPY)
+    h = 1e-6
+    base, grads = _loss_and_grads(m, X, y.values, Loss.CROSS_ENTROPY)
+    probe = m.copy()
+    probe.weights[0][1, 2] += h
+    fd = (_loss_and_grads(probe, X, y.values, Loss.CROSS_ENTROPY)[0] - base) / h
+
     assert grads[0][1, 2] == pytest.approx(fd, rel=1e-3)
 
 
@@ -249,7 +247,7 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(m, path)
     back = load_checkpoint(path)
-    assert back.hidden == m.hidden and back.activation == m.activation
+    assert back.hidden == m.hidden and back.seed == m.seed
     for w1, w2 in zip(m.weights, back.weights):
         assert np.array_equal(w1, w2)
     for b1, b2 in zip(m.biases, back.biases):
@@ -257,10 +255,16 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_rejects_foreign_blob(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": "other", "version": 1}', encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
+    path = tmp_path / "model.json"
+    save_checkpoint(init_mlp(2, seed=91, hidden=4), path)
+    import json
+
+    current = json.loads(path.read_text(encoding="utf-8"))
+    # a foreign format, and a version-1 blob from before the activation field was dropped
+    for blob in ({"format": "other", "version": 1}, {**current, "version": 1, "activation": "relu"}):
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        with pytest.raises(ValueError, match="not a version-2 uadb-mlp checkpoint"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
