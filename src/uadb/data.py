@@ -91,14 +91,17 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty table: {path}") from None
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"empty table: {path}") from None
+            header = [h.strip() for h in header]
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     if not rows:
         raise DataError(f"empty table: {path} has a header but no data rows")
 

@@ -26,6 +26,8 @@ from .rng import Stream, derive
 
 # reachability floor for coincident points; keeps LOF finite on duplicates
 LOF_DISTANCE_FLOOR = 1e-12
+# squared differences held at once by the blocked neighbor search
+NEIGHBOR_BLOCK_ELEMENTS = 2**21
 
 
 class DegenerateDataWarning(UserWarning):
@@ -92,10 +94,32 @@ def minmax_scale(v: ScoreVector) -> ScoreVector:
     return ScoreVector(minmax_values(v.values), normalized=True)
 
 
-def pairwise_distances(X: np.ndarray) -> np.ndarray:
-    """Full n x n Euclidean distance matrix via explicit differences."""
-    diff = X[:, None, :] - X[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k nearest other rows as (dist, idx), ordered by (distance, row index).
+
+    Rows are walked in blocks holding about NEIGHBOR_BLOCK_ELEMENTS
+    differences, so memory is O(block * n) rather than O(n^2 * d). Only the
+    candidates at or below the k-th distance are stable-sorted, which picks
+    the same neighbors at a tied k-th boundary as a full stable argsort.
+    """
+    n, d = X.shape
+    block = max(1, NEIGHBOR_BLOCK_ELEMENTS // (n * d))
+    dist = np.empty((n, k))
+    idx = np.empty((n, k), dtype=np.intp)
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        diff = X[a:b, None, :] - X[None, :, :]
+        diff *= diff
+        D = np.sqrt(diff.sum(axis=-1))
+        D[np.arange(b - a), np.arange(a, b)] = np.inf
+        kth = np.partition(D, k - 1, axis=1)[:, k - 1]
+        for r in range(b - a):
+            cand = np.flatnonzero(D[r] <= kth[r])
+            near = cand[np.argsort(D[r, cand], kind="stable")[:k]]
+            idx[a + r], dist[a + r] = near, D[r, near]
+    if not np.all(np.isfinite(dist)):
+        raise DataError("neighbor distances overflow float64; rescale the features (CLI: --scale)")
+    return dist, idx
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +247,16 @@ def fit_score_hbos(ds: Dataset, bins: int = 10) -> ScoreVector:
 
 
 def fit_score_lof(ds: Dataset, k: int = 20) -> ScoreVector:
-    """Classic LOF over exactly k neighbors, reachability floored at 1e-12."""
+    """Classic LOF over exactly k neighbors, reachability floored at 1e-12.
+
+    Neighbor search is blocked over rows: O(block * n) memory, not O(n^2 * d).
+    """
     n = ds.n
     if not 1 <= k < n:
         raise DataError(f"need 1 <= k < n, got k={k}, n={n}")
-    dist = pairwise_distances(ds.features)
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")  # ties -> lowest row index
-    neighbors = order[:, :k]
-    k_dist = np.take_along_axis(dist, order[:, k - 1 : k], axis=1)[:, 0]
-    reach = np.maximum(k_dist[neighbors], np.take_along_axis(dist, neighbors, axis=1))
+    dist, neighbors = _neighbors(ds.features, k)
+    k_dist = dist[:, k - 1]
+    reach = np.maximum(k_dist[neighbors], dist)
     reach = np.maximum(reach, LOF_DISTANCE_FLOOR)
     lrd = 1.0 / reach.mean(axis=1)
     return ScoreVector(lrd[neighbors].mean(axis=1) / lrd)
@@ -243,13 +267,14 @@ def fit_score_lof(ds: Dataset, k: int = 20) -> ScoreVector:
 
 
 def fit_score_knn(ds: Dataset, k: int = 5) -> ScoreVector:
-    """Euclidean distance to the k-th nearest neighbor, self excluded."""
+    """Euclidean distance to the k-th nearest neighbor, self excluded.
+
+    Neighbor search is blocked over rows: O(block * n) memory, not O(n^2 * d).
+    """
     n = ds.n
     if not 1 <= k < n:
         raise DataError(f"need 1 <= k < n, got k={k}, n={n}")
-    dist = pairwise_distances(ds.features)
-    np.fill_diagonal(dist, np.inf)
-    return ScoreVector(np.sort(dist, axis=1)[:, k - 1])
+    return ScoreVector(_neighbors(ds.features, k)[0][:, k - 1])
 
 
 # ---------------------------------------------------------------------------

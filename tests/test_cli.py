@@ -1,12 +1,15 @@
 """Command-line behavior: wiring, exit codes, artifacts, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uadb
 from uadb.cli import main
 
 
@@ -95,6 +98,21 @@ def test_detect_missing_data_flag(capsys):
 
 def test_detect_missing_file_is_data_error(capsys):
     assert main(["detect", "--data", "/nonexistent.csv", "--detector", "knn"]) == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"a,b\n1.0,2.0\n3.0\n", b"", b"a,b\n", b"a,b\n1.0,\xff2.0\n"],
+    ids=["ragged", "empty", "header-only", "non-utf8"],
+)
+def test_detect_bad_csv_is_data_error_naming_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    assert main(["detect", "--data", str(path), "--detector", "knn", "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(path) in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +371,14 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
 
 
 def test_console_entry_point_runs():
+    # the child must find the same uadb the tests import, installed or not
+    src = str(Path(uadb.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "uadb.cli", "synth", "--kind", "global", "--n", "20"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert "n=20" in proc.stdout

@@ -1,5 +1,7 @@
 """Detector correctness against brute-force oracles and geometric fixtures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,6 +28,7 @@ from uadb import (
     minmax_values,
     save_scores,
 )
+from uadb import detectors
 from uadb.rng import Stream
 
 # ---------------------------------------------------------------------------
@@ -240,6 +243,58 @@ def test_knn_matches_oracle():
         X = _random_points(seed, n, 3)
         got = fit_score_knn(Dataset(features=X), k=k).values
         assert np.array_equal(got, _oracle_knn(X, k))
+
+
+# ---------------------------------------------------------------------------
+# blocked neighbor search shared by LOF and kNN
+
+
+def test_neighbor_blocks_split_anywhere_same_bits(monkeypatch):
+    X = _random_points(10, 50, 3)
+    X[25:] = X[:25]  # duplicate rows tie across block boundaries
+    ds = Dataset(features=X)
+    lof = fit_score_lof(ds, k=5).values
+    knn = fit_score_knn(ds, k=5).values
+    for rows in (1, 7):  # 7 rows: blocks end at odd row counts, last one short
+        monkeypatch.setattr(detectors, "NEIGHBOR_BLOCK_ELEMENTS", rows * 50 * 3)
+        assert np.array_equal(fit_score_lof(ds, k=5).values, lof)
+        assert np.array_equal(fit_score_knn(ds, k=5).values, knn)
+
+
+def test_neighbors_tied_kth_boundary_match_oracles():
+    grid = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
+    dup = np.vstack([grid[:9], grid[:9]])  # every row has an exact twin
+    cases = [(grid, k) for k in (1, 2, 3, 4, 5, 8, 24)]
+    cases += [(dup, k) for k in (1, 2, 3, 17)]
+    cases += [(np.array([[0.0], [2.0]]), 1), (np.array([[1.0, 1.0], [1.0, 1.0]]), 1)]
+    cases += [(np.array([[0.0], [1.0], [2.0]]), k) for k in (1, 2)]
+    cases += [(np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]]), k) for k in (1, 2)]
+    for X, k in cases:
+        ds = Dataset(features=X)
+        np.testing.assert_allclose(fit_score_lof(ds, k=k).values, _oracle_lof(X, k), rtol=1e-10)
+        assert np.array_equal(fit_score_knn(ds, k=k).values, _oracle_knn(X, k))
+
+
+def test_neighbor_distance_overflow_is_clear_error():
+    far = Dataset(features=np.array([[0.0], [1e160], [-1e160], [3e160]]))
+    for fit in (fit_score_lof, fit_score_knn):
+        with pytest.raises(DataError, match="overflow float64; rescale"):
+            fit(far, k=1)
+    # an overflowing distance beyond the k-th neighbor is harmless
+    pairs = Dataset(features=np.array([[0.0], [1.0], [1e160], [1.000000000000001e160]]))
+    assert np.all(np.isfinite(fit_score_lof(pairs, k=1).values))
+    assert np.all(np.isfinite(fit_score_knn(pairs, k=1).values))
+
+
+def test_lof_peak_memory_bounded():
+    ds = Dataset(features=_random_points(11, 3000, 2))
+    tracemalloc.start()
+    try:
+        fit_score_lof(ds, k=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20  # a full 3000 x 3000 x 2 difference tensor alone is 137 MiB
 
 
 # ---------------------------------------------------------------------------
