@@ -37,8 +37,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import Dataset
-from .detectors import ScoreVector, minmax_scale
+from .data import DataError, Dataset
+from .detectors import OVERFLOW_HINT, ScoreVector, minmax_scale
 from .metrics import aucroc, average_precision, threshold_predictions
 from .nn import MlpModel, TrainSpec, forward, init_mlp, train
 from .rng import Stream, derive
@@ -102,6 +102,8 @@ class InputConditioner:
     def fit(cls, X: np.ndarray) -> "InputConditioner":
         mu = X.mean(axis=0)
         cov = np.atleast_2d(np.cov(X - mu, rowvar=False, bias=True))
+        if not np.all(np.isfinite(cov)):
+            raise DataError(f"feature covariance {OVERFLOW_HINT}")
         _, vecs = np.linalg.eigh(cov)
         Z = (X - mu) @ vecs
         mad = np.median(np.abs(Z - np.median(Z, axis=0)), axis=0) * 1.4826
@@ -198,8 +200,6 @@ class _FoldEnsemble:
 
     def out_of_fold(self) -> np.ndarray:
         """Each row scored by the one model whose training folds exclude it."""
-        if self.cfg.fold_count == 1:
-            return forward(self.models[0], self.X).values
         p = np.empty(self.X.shape[0])
         for f in range(self.cfg.fold_count):
             rows = np.flatnonzero(self.folds == f)
@@ -209,8 +209,7 @@ class _FoldEnsemble:
     def inference(self) -> np.ndarray:
         if self.cfg.holdout_final:
             return self.out_of_fold()
-        stacked = np.stack([forward(m, self.X).values for m in self.models])
-        return stacked.mean(axis=0)
+        return np.stack([forward(m, self.X).values for m in self.models]).mean(axis=0)
 
 
 def _discrepancy(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -28,6 +28,8 @@ from .rng import Stream, derive
 LOF_DISTANCE_FLOOR = 1e-12
 # squared differences held at once by the blocked neighbor search
 NEIGHBOR_BLOCK_ELEMENTS = 2**21
+# tail of the error raised where squared feature magnitudes leave float64
+OVERFLOW_HINT = "overflow float64; rescale the features (CLI: --scale)"
 
 
 class DegenerateDataWarning(UserWarning):
@@ -118,7 +120,7 @@ def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             near = cand[np.argsort(D[r, cand], kind="stable")[:k]]
             idx[a + r], dist[a + r] = near, D[r, near]
     if not np.all(np.isfinite(dist)):
-        raise DataError("neighbor distances overflow float64; rescale the features (CLI: --scale)")
+        raise DataError(f"neighbor distances {OVERFLOW_HINT}")
     return dist, idx
 
 
@@ -134,53 +136,29 @@ def _avg_path_length(m: int) -> float:
     return 2.0 * harmonic - 2.0 * (m - 1) / m
 
 
-@dataclass
-class _IsoNode:
-    feature: int | None  # None marks a leaf
-    split: float
-    size: int
-    left: "_IsoNode | None" = None
-    right: "_IsoNode | None" = None
+def _iso_tree_depths(
+    X: np.ndarray, sample: np.ndarray, rows: np.ndarray, depth: int, limit: int, stream: Stream, out: np.ndarray
+) -> None:
+    """Grow one isolation tree on `sample` and add the path length of each of X[rows] to out.
 
-
-def _build_iso_tree(X: np.ndarray, depth: int, limit: int, stream: Stream) -> _IsoNode:
-    m = X.shape[0]
-    if m <= 1 or depth >= limit:
-        return _IsoNode(None, 0.0, m)
-    spans = X.max(axis=0) - X.min(axis=0)
-    candidates = np.flatnonzero(spans > 0.0)
-    if candidates.size == 0:
-        return _IsoNode(None, 0.0, m)
-    f = int(candidates[stream.index(candidates.size)])
-    lo = X[:, f].min()
-    hi = X[:, f].max()
-    split = lo + float(stream.uniform(1)[0]) * (hi - lo)
-    mask = X[:, f] < split
-    if mask.all() or not mask.any():
-        return _IsoNode(None, 0.0, m)
-    return _IsoNode(
-        f,
-        split,
-        m,
-        _build_iso_tree(X[mask], depth + 1, limit, stream),
-        _build_iso_tree(X[~mask], depth + 1, limit, stream),
-    )
-
-
-def _iso_tree_paths(root: _IsoNode, X: np.ndarray) -> np.ndarray:
-    depths = np.zeros(X.shape[0])
-    stack = [(root, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.feature is None:
-            depths[idx] = depth + _avg_path_length(node.size)
-        else:
-            mask = X[idx, node.feature] < node.split
-            stack.append((node.left, idx[mask], depth + 1))
-            stack.append((node.right, idx[~mask], depth + 1))
-    return depths
+    Each split sends the subsample and the scored rows down together, and
+    each leaf adds depth + c(leaf size). The left subtree grows first, so
+    the stream is drawn in build order and no tree is ever stored.
+    """
+    m = sample.shape[0]
+    if m > 1 and depth < limit:
+        candidates = np.flatnonzero(sample.max(axis=0) - sample.min(axis=0) > 0.0)
+        if candidates.size:
+            f = int(candidates[stream.index(candidates.size)])
+            lo = sample[:, f].min()
+            split = lo + float(stream.uniform(1)[0]) * (sample[:, f].max() - lo)
+            mask = sample[:, f] < split
+            if mask.any() and not mask.all():
+                left = X[rows, f] < split
+                _iso_tree_depths(X, sample[mask], rows[left], depth + 1, limit, stream, out)
+                _iso_tree_depths(X, sample[~mask], rows[~left], depth + 1, limit, stream, out)
+                return
+    out[rows] += depth + _avg_path_length(m)
 
 
 def fit_score_iforest(
@@ -190,7 +168,8 @@ def fit_score_iforest(
 
     Each tree is grown on a without-replacement subsample of min(subsample, n)
     rows with uniformly random feature/split choices, height-limited at
-    ceil(log2(m)). c(m) is the average BST path-length normalizer.
+    ceil(log2(m)). c(m) is the average BST path-length normalizer. Trees are
+    not stored: all n rows are scored while each tree grows.
     """
     if trees < 1:
         raise DataError(f"need trees >= 1, got {trees}")
@@ -206,8 +185,7 @@ def fit_score_iforest(
     for t in range(trees):
         stream = Stream(derive(seed, t))
         rows = stream.permutation(n)[:m]
-        root = _build_iso_tree(X[rows], 0, limit, stream)
-        total += _iso_tree_paths(root, X)
+        _iso_tree_depths(X, X[rows], np.arange(n), 0, limit, stream, total)
     expected = total / trees
     return ScoreVector(np.power(2.0, -expected / _avg_path_length(m)))
 
@@ -293,6 +271,8 @@ def fit_score_pca(ds: Dataset, components: int | None = None) -> ScoreVector:
         raise DataError(f"need 1 <= components < d, got components={components}, d={d}")
     centered = X - X.mean(axis=0)
     cov = (centered.T @ centered) / (n - 1)
+    if not np.all(np.isfinite(cov)):
+        raise DataError(f"feature covariance {OVERFLOW_HINT}")
     _, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
     top = vecs[:, d - components :]
     residual = centered - (centered @ top) @ top.T

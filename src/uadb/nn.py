@@ -65,33 +65,38 @@ class TrainSpec:
             raise ValueError(f"need learning_rate > 0, got {self.learning_rate}")
 
 
+def _shapes(d: int, hidden: int) -> list[tuple[int, ...]]:
+    """Layout of the flat parameter vector: [W1, b1, W2, b2, W3, b3]."""
+    return [(d, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, 1), (1,)]
+
+
 @dataclass
 class MlpModel:
-    """Weights/biases for the three linear layers, plus init metadata.
+    """One flat float64 parameter vector theta = [W1, b1, W2, b2, W3, b3], plus init metadata.
 
-    weights[i] has shape (fan_in, fan_out); biases[i] has shape (fan_out,).
+    weights[i] (shape (fan_in, fan_out)) and biases[i] (shape (fan_out,))
+    are views into theta, so an edit to either shows in the other.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    theta: np.ndarray
+    d: int
+    hidden: int = 128
     seed: int = 0
-    hidden: int = field(default=128)
+    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
-    @property
-    def d(self) -> int:
-        return self.weights[0].shape[0]
+    def __post_init__(self):
+        shapes = _shapes(self.d, self.hidden)
+        parts = np.split(self.theta, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+        views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.theta.size
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.seed,
-            self.hidden,
-        )
+        return MlpModel(self.theta.copy(), self.d, self.hidden, self.seed)
 
 
 def init_mlp(d: int, seed: int = 0, hidden: int = 128) -> MlpModel:
@@ -110,21 +115,19 @@ def init_mlp(d: int, seed: int = 0, hidden: int = 128) -> MlpModel:
     if hidden < 1:
         raise ValueError(f"need hidden >= 1, got {hidden}")
     sizes = [d, hidden, hidden, 1]
-    weights = []
-    biases = []
+    parts = []
     for layer in range(3):
         fan_in, fan_out = sizes[layer], sizes[layer + 1]
         bound = _INIT_GAIN / math.sqrt(fan_in)
         u = Stream(derive(seed, layer)).uniform(fan_in * fan_out)
-        weights.append((u * 2.0 * bound - bound).reshape(fan_in, fan_out))
         if layer == 0:
             ub = Stream(derive(seed, 7, layer)).uniform(fan_out)
             b = ub * 2.0 * bound - bound
             b[: max(fan_out - _INIT_OFFSET_UNITS, 0)] = 0.0
         else:
             b = np.zeros(fan_out)
-        biases.append(b)
-    return MlpModel(weights, biases, seed, hidden)
+        parts += [u * 2.0 * bound - bound, b]
+    return MlpModel(np.concatenate(parts), d, hidden, seed)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -152,20 +155,25 @@ def forward(m: MlpModel, X: np.ndarray) -> ScoreVector:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.d:
         raise ValueError(f"expected shape (n, {m.d}), got {X.shape}")
-    _, _, _, _, p = _forward_trace(m, X)
-    return ScoreVector(p[:, 0], normalized=True)
+    return ScoreVector(_forward_trace(m, X)[-1][:, 0], normalized=True)
 
 
-def _loss_and_grads(m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss):
-    """Full-batch loss and analytic gradients in [W1, b1, W2, b2, W3, b3] order."""
+def _loss(m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss) -> float:
+    """Full-batch loss value."""
+    pv = _forward_trace(m, X)[-1][:, 0]
+    if loss is Loss.SQUARED_ERROR:
+        return float(np.mean((pv - y) ** 2))
+    return float(-np.mean(y * np.log(pv) + (1.0 - y) * np.log(1.0 - pv)))
+
+
+def _grads(m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss) -> np.ndarray:
+    """Full-batch analytic gradient, laid out like theta."""
     n = X.shape[0]
     z1, a1, z2, a2, p = _forward_trace(m, X)
     pv = p[:, 0]
     if loss is Loss.SQUARED_ERROR:
-        value = float(np.mean((pv - y) ** 2))
         g3 = (2.0 * (pv - y) * pv * (1.0 - pv) / n)[:, None]
     else:
-        value = float(-np.mean(y * np.log(pv) + (1.0 - y) * np.log(1.0 - pv)))
         g3 = ((pv - y) / n)[:, None]
     gW3 = a2.T @ g3
     gb3 = g3.sum(axis=0)
@@ -175,11 +183,7 @@ def _loss_and_grads(m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss):
     g1 = (g2 @ m.weights[1].T) * (z1 > 0.0)
     gW1 = X.T @ g1
     gb1 = g1.sum(axis=0)
-    return value, [gW1, gb1, gW2, gb2, gW3, gb3]
-
-
-def _params(m: MlpModel) -> list[np.ndarray]:
-    return [m.weights[0], m.biases[0], m.weights[1], m.biases[1], m.weights[2], m.biases[2]]
+    return np.concatenate([g.ravel() for g in (gW1, gb1, gW2, gb2, gW3, gb3)])
 
 
 def train(m: MlpModel, X: np.ndarray, y: ScoreVector, spec: TrainSpec) -> MlpModel:
@@ -199,25 +203,23 @@ def train(m: MlpModel, X: np.ndarray, y: ScoreVector, spec: TrainSpec) -> MlpMod
     yv = y.values
 
     out = m.copy()
-    params = _params(out)
-    moment1 = [np.zeros_like(p) for p in params]
-    moment2 = [np.zeros_like(p) for p in params]
+    moment1 = np.zeros_like(out.theta)
+    moment2 = np.zeros_like(out.theta)
     step = 0
     n_batches = math.ceil(n / spec.batch_size)
     for epoch in range(spec.epochs):
         order = Stream(derive(spec.seed, epoch)).permutation(n)
         for b in range(n_batches):
             batch = order[b * spec.batch_size : (b + 1) * spec.batch_size]
-            _, grads = _loss_and_grads(out, X[batch], yv[batch], spec.loss)
+            g = _grads(out, X[batch], yv[batch], spec.loss)
             step += 1
             c1 = 1.0 - _ADAM_BETA1**step
             c2 = 1.0 - _ADAM_BETA2**step
-            for p, g, m1, m2 in zip(params, grads, moment1, moment2):
-                m1 *= _ADAM_BETA1
-                m1 += (1.0 - _ADAM_BETA1) * g
-                m2 *= _ADAM_BETA2
-                m2 += (1.0 - _ADAM_BETA2) * (g * g)
-                p -= spec.learning_rate * (m1 / c1) / (np.sqrt(m2 / c2) + _ADAM_EPS)
+            moment1 *= _ADAM_BETA1
+            moment1 += (1.0 - _ADAM_BETA1) * g
+            moment2 *= _ADAM_BETA2
+            moment2 += (1.0 - _ADAM_BETA2) * (g * g)
+            out.theta -= spec.learning_rate * (moment1 / c1) / (np.sqrt(moment2 / c2) + _ADAM_EPS)
     return out
 
 
@@ -231,24 +233,19 @@ def gradient_check(
     """
     X = np.asarray(X, dtype=np.float64)
     yv = y.values
-    _, grads = _loss_and_grads(m, X, yv, loss)
     h = 1e-5
     worst = 0.0
     probe = m.copy()
-    params = _params(probe)
-    for p, g in zip(params, grads):
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            hi, _ = _loss_and_grads(probe, X, yv, loss)
-            flat[i] = keep - h
-            lo, _ = _loss_and_grads(probe, X, yv, loss)
-            flat[i] = keep
-            fd = (hi - lo) / (2.0 * h)
-            err = abs(gflat[i] - fd) / max(abs(gflat[i]) + abs(fd), 1e-6)
-            worst = max(worst, err)
+    theta = probe.theta
+    for i, g in enumerate(_grads(m, X, yv, loss)):
+        keep = theta[i]
+        theta[i] = keep + h
+        hi = _loss(probe, X, yv, loss)
+        theta[i] = keep - h
+        lo = _loss(probe, X, yv, loss)
+        theta[i] = keep
+        fd = (hi - lo) / (2.0 * h)
+        worst = max(worst, abs(g - fd) / max(abs(g) + abs(fd), 1e-6))
     return worst
 
 
@@ -270,9 +267,7 @@ def load_checkpoint(path: str | Path) -> MlpModel:
     blob = json.loads(Path(path).read_text(encoding="utf-8"))
     if blob.get("format") != CHECKPOINT_FORMAT or blob.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} {CHECKPOINT_FORMAT} checkpoint")
-    weights = [np.array(w, dtype=np.float64) for w in blob["weights"]]
-    biases = [np.array(b, dtype=np.float64) for b in blob["biases"]]
-    expected = [(blob["d"], blob["hidden"]), (blob["hidden"], blob["hidden"]), (blob["hidden"], 1)]
-    if [w.shape for w in weights] != expected:
+    arrays = [np.array(a, dtype=np.float64) for pair in zip(blob["weights"], blob["biases"]) for a in pair]
+    if [a.shape for a in arrays] != _shapes(blob["d"], blob["hidden"]):
         raise ValueError(f"{path}: weight shapes do not match declared architecture")
-    return MlpModel(weights, biases, blob["seed"], blob["hidden"])
+    return MlpModel(np.concatenate([a.ravel() for a in arrays]), blob["d"], blob["hidden"], blob["seed"])

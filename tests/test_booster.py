@@ -1,5 +1,8 @@
 """Booster loop: variance math, label updates, strategies, end-to-end behavior."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -258,6 +261,16 @@ def test_reinit_and_holdout_flags_change_outcome():
 def test_default_run_improves_or_holds_teacher(clustered_default_run):
     ds, teacher, result = clustered_default_run
     assert aucroc(result.final_scores, ds.labels) >= aucroc(teacher, ds.labels) - 0.02
+
+
+def test_readme_quickstart_numbers(capsys):
+    """The README quickstart runs as written and prints the AUCROCs its comments state."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    stated = re.findall(r"# (\d\.\d{4})$", block, flags=re.MULTILINE)
+    assert stated == ["0.9405", "0.9801"]
+    exec(block, {})
+    assert [f"{float(v):.4f}" for v in capsys.readouterr().out.split()] == stated
 
 
 def test_uadb_beats_naive_on_local_lof():

@@ -1,6 +1,9 @@
 """Detector correctness against brute-force oracles and geometric fixtures."""
 
+import math
 import tracemalloc
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,12 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uadb import (
+    BoosterConfig,
     DataError,
     Dataset,
     DegenerateDataWarning,
     DetectorKind,
     DetectorParams,
     ScoreVector,
+    Strategy,
     SyntheticKind,
     aucroc,
     fit_score,
@@ -26,10 +31,11 @@ from uadb import (
     import_scores,
     minmax_scale,
     minmax_values,
+    run_booster,
     save_scores,
 )
 from uadb import detectors
-from uadb.rng import Stream
+from uadb.rng import Stream, derive
 
 # ---------------------------------------------------------------------------
 # oracles: naive per-point loops straight from the definitions
@@ -63,6 +69,69 @@ def _oracle_lof(X: np.ndarray, k: int) -> np.ndarray:
         reach = [max(k_dist[j], dist[i, j], 1e-12) for j in neighbors[i]]
         lrd[i] = 1.0 / (sum(reach) / k)
     return np.array([sum(lrd[j] for j in neighbors[i]) / k / lrd[i] for i in range(n)])
+
+
+@dataclass
+class _IsoNode:
+    feature: int | None  # None marks a leaf
+    split: float
+    size: int
+    left: "_IsoNode | None" = None
+    right: "_IsoNode | None" = None
+
+
+def _build_iso_tree(X: np.ndarray, depth: int, limit: int, stream: Stream) -> _IsoNode:
+    m = X.shape[0]
+    if m <= 1 or depth >= limit:
+        return _IsoNode(None, 0.0, m)
+    spans = X.max(axis=0) - X.min(axis=0)
+    candidates = np.flatnonzero(spans > 0.0)
+    if candidates.size == 0:
+        return _IsoNode(None, 0.0, m)
+    f = int(candidates[stream.index(candidates.size)])
+    lo = X[:, f].min()
+    hi = X[:, f].max()
+    split = lo + float(stream.uniform(1)[0]) * (hi - lo)
+    mask = X[:, f] < split
+    if mask.all() or not mask.any():
+        return _IsoNode(None, 0.0, m)
+    return _IsoNode(
+        f,
+        split,
+        m,
+        _build_iso_tree(X[mask], depth + 1, limit, stream),
+        _build_iso_tree(X[~mask], depth + 1, limit, stream),
+    )
+
+
+def _iso_tree_paths(root: _IsoNode, X: np.ndarray) -> np.ndarray:
+    depths = np.zeros(X.shape[0])
+    stack = [(root, np.arange(X.shape[0]), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        if idx.size == 0:
+            continue
+        if node.feature is None:
+            depths[idx] = depth + detectors._avg_path_length(node.size)
+        else:
+            mask = X[idx, node.feature] < node.split
+            stack.append((node.left, idx[mask], depth + 1))
+            stack.append((node.right, idx[~mask], depth + 1))
+    return depths
+
+
+def _oracle_iforest(X: np.ndarray, trees: int, subsample: int, seed: int) -> np.ndarray:
+    """Build each tree as a node graph first, then descend every row through it."""
+    n = len(X)
+    m = min(subsample, n)
+    limit = math.ceil(math.log2(m))
+    total = np.zeros(n)
+    for t in range(trees):
+        stream = Stream(derive(seed, t))
+        rows = stream.permutation(n)[:m]
+        root = _build_iso_tree(X[rows], 0, limit, stream)
+        total += _iso_tree_paths(root, X)
+    return np.power(2.0, -(total / trees) / detectors._avg_path_length(m))
 
 
 def _oracle_pca_residual(X: np.ndarray, components: int) -> np.ndarray:
@@ -131,6 +200,22 @@ def test_iforest_subsample_clamped_to_n():
     big = fit_score_iforest(ds, trees=10, subsample=256, seed=0)
     exact = fit_score_iforest(ds, trees=10, subsample=50, seed=0)
     assert np.array_equal(big.values, exact.values)
+
+
+def test_iforest_matches_build_then_descend_oracle():
+    for n in (2, 3, 17, 300):
+        for d in (1, 2, 7):
+            X = _random_points(n + d, n, d)
+            dup = X.copy()
+            dup[n // 2 :] = X[: n - n // 2]
+            inputs = [X, np.round(X), (X > 0.5).astype(float), dup, np.full((n, d), 2.5)]
+            for features in inputs:
+                ds = Dataset(features=features)
+                for subsample in (2, 64, 256):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", DegenerateDataWarning)
+                        got = fit_score_iforest(ds, trees=3, subsample=subsample, seed=n).values
+                    assert np.array_equal(got, _oracle_iforest(features, 3, subsample, n))
 
 
 def test_iforest_deterministic_and_validated():
@@ -280,6 +365,14 @@ def test_neighbor_distance_overflow_is_clear_error():
     for fit in (fit_score_lof, fit_score_knn):
         with pytest.raises(DataError, match="overflow float64; rescale"):
             fit(far, k=1)
+    # squared magnitudes overflow the covariance behind PCA and the booster's conditioner too
+    huge = Dataset(features=_random_points(12, 60, 2) * 1e160)
+    with pytest.raises(DataError, match="overflow float64; rescale"):
+        fit_score_pca(huge, components=1)
+    teacher = fit_score_hbos(huge)
+    for strategy in Strategy:
+        with pytest.raises(DataError, match="overflow float64; rescale"):
+            run_booster(huge, teacher, BoosterConfig(T=1, strategy=strategy))
     # an overflowing distance beyond the k-th neighbor is harmless
     pairs = Dataset(features=np.array([[0.0], [1.0], [1e160], [1.000000000000001e160]]))
     assert np.all(np.isfinite(fit_score_lof(pairs, k=1).values))

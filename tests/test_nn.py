@@ -7,6 +7,9 @@ import pytest
 
 from uadb import Loss, ScoreVector, TrainSpec, aucroc
 from uadb.nn import (
+    MlpModel,
+    _grads,
+    _loss,
     forward,
     gradient_check,
     init_mlp,
@@ -14,7 +17,7 @@ from uadb.nn import (
     save_checkpoint,
     train,
 )
-from uadb.rng import Stream
+from uadb.rng import Stream, derive
 
 
 def _tiny_batch(seed: int, n: int = 6, d: int = 3):
@@ -76,6 +79,21 @@ def test_model_metadata():
     c = m.copy()
     c.weights[0][0, 0] += 1.0
     assert m.weights[0][0, 0] != c.weights[0][0, 0]
+
+
+def test_weight_views_share_theta():
+    m = init_mlp(3, seed=4, hidden=8)
+    X = Stream(5).normal(18).reshape(6, 3)
+    before = forward(m, X).values
+    c = m.copy()
+    m.weights[0][1, 2] += 1.0
+    m.weights[2] *= 2.0
+    assert m.theta[1 * 8 + 2] == c.theta[1 * 8 + 2] + 1.0
+    assert np.array_equal(m.theta[-9:-1], 2.0 * c.theta[-9:-1])
+    assert not np.array_equal(forward(m, X).values, before)
+    assert np.array_equal(forward(c, X).values, before)  # the copy kept its own buffer
+    c.theta[:] = 0.0
+    assert np.all(m.biases[0] == init_mlp(3, seed=4, hidden=8).biases[0])
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +158,15 @@ def test_gradient_independent_finite_difference():
     """Independent route: perturb one weight by hand, difference the loss."""
     m = init_mlp(2, seed=21, hidden=3)
     X, y = _tiny_batch(77, n=4, d=2)
-    from uadb.nn import _loss_and_grads
 
     h = 1e-6
-    base, grads = _loss_and_grads(m, X, y.values, Loss.CROSS_ENTROPY)
+    base = _loss(m, X, y.values, Loss.CROSS_ENTROPY)
+    grads = MlpModel(_grads(m, X, y.values, Loss.CROSS_ENTROPY), m.d, m.hidden)
     probe = m.copy()
     probe.weights[0][1, 2] += h
-    fd = (_loss_and_grads(probe, X, y.values, Loss.CROSS_ENTROPY)[0] - base) / h
+    fd = (_loss(probe, X, y.values, Loss.CROSS_ENTROPY) - base) / h
 
-    assert grads[0][1, 2] == pytest.approx(fd, rel=1e-3)
+    assert grads.weights[0][1, 2] == pytest.approx(fd, rel=1e-3)
 
 
 def test_gradient_zero_at_exact_fit():
@@ -157,10 +175,7 @@ def test_gradient_zero_at_exact_fit():
     X, _ = _tiny_batch(31, n=6, d=3)
     y = ScoreVector(forward(m, X).values, normalized=True)
 
-    from uadb.nn import _loss_and_grads
-
-    _, grads = _loss_and_grads(m, X, y.values, Loss.SQUARED_ERROR)
-    assert max(np.abs(g).max() for g in grads) < 1e-8
+    assert np.abs(_grads(m, X, y.values, Loss.SQUARED_ERROR)).max() < 1e-8
 
 
 def test_gradient_batch_order_invariance():
@@ -168,13 +183,12 @@ def test_gradient_batch_order_invariance():
     X, y = _tiny_batch(41, n=8, d=2)
     perm = Stream(42).permutation(8)
 
-    from uadb.nn import _loss_and_grads
-
-    v1, g1 = _loss_and_grads(m, X, y.values, Loss.CROSS_ENTROPY)
-    v2, g2 = _loss_and_grads(m, X[perm], y.values[perm], Loss.CROSS_ENTROPY)
+    v1 = _loss(m, X, y.values, Loss.CROSS_ENTROPY)
+    v2 = _loss(m, X[perm], y.values[perm], Loss.CROSS_ENTROPY)
     assert v1 == pytest.approx(v2, abs=1e-12)
-    for a, b in zip(g1, g2):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    g1 = _grads(m, X, y.values, Loss.CROSS_ENTROPY)
+    g2 = _grads(m, X[perm], y.values[perm], Loss.CROSS_ENTROPY)
+    np.testing.assert_allclose(g1, g2, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +229,40 @@ def test_train_deterministic_and_pure():
     assert not np.array_equal(out1.weights[0], out3.weights[0])
 
 
+def _per_tensor_adam_train(m, X, y, spec):
+    """Reference training loop: one moment pair and one Adam update per weight/bias tensor."""
+    out = m.copy()
+    params = [out.weights[0], out.biases[0], out.weights[1], out.biases[1], out.weights[2], out.biases[2]]
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
+    step = 0
+    n = X.shape[0]
+    for epoch in range(spec.epochs):
+        order = Stream(derive(spec.seed, epoch)).permutation(n)
+        for b in range(math.ceil(n / spec.batch_size)):
+            batch = order[b * spec.batch_size : (b + 1) * spec.batch_size]
+            g = MlpModel(_grads(out, X[batch], y.values[batch], spec.loss), m.d, m.hidden)
+            grads = [g.weights[0], g.biases[0], g.weights[1], g.biases[1], g.weights[2], g.biases[2]]
+            step += 1
+            c1 = 1.0 - 0.9**step
+            c2 = 1.0 - 0.999**step
+            for p, g, m1, m2 in zip(params, grads, moment1, moment2):
+                m1 *= 0.9
+                m1 += (1.0 - 0.9) * g
+                m2 *= 0.999
+                m2 += (1.0 - 0.999) * (g * g)
+                p -= spec.learning_rate * (m1 / c1) / (np.sqrt(m2 / c2) + 1e-8)
+    return out
+
+
+@pytest.mark.parametrize("loss", list(Loss))
+def test_train_matches_per_tensor_adam(loss):
+    m = init_mlp(3, seed=74, hidden=16)
+    X, y = _tiny_batch(75, n=50, d=3)
+    spec = TrainSpec(epochs=3, batch_size=16, learning_rate=0.01, loss=loss, seed=76)
+    assert np.array_equal(train(m, X, y, spec).theta, _per_tensor_adam_train(m, X, y, spec).theta)
+
+
 def test_train_spec_validation():
     with pytest.raises(ValueError):
         TrainSpec(epochs=0)
@@ -252,6 +300,14 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(w1, w2)
     for b1, b2 in zip(m.biases, back.biases):
         assert np.array_equal(b1, b2)
+
+
+def test_checkpoint_resave_is_byte_identical(tmp_path):
+    X, y = _tiny_batch(83, n=10, d=3)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_checkpoint(train(init_mlp(3, seed=84, hidden=8), X, y, TrainSpec(seed=85)), first)
+    save_checkpoint(load_checkpoint(first), second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_checkpoint_rejects_foreign_blob(tmp_path):
