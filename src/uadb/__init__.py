@@ -58,8 +58,6 @@ from .nn import (
     forward,
     gradient_check,
     init_mlp,
-    load_checkpoint,
-    save_checkpoint,
     train,
 )
 
@@ -97,13 +95,11 @@ __all__ = [
     "gradient_check",
     "import_scores",
     "init_mlp",
-    "load_checkpoint",
     "load_csv",
     "minmax_scale",
     "minmax_values",
     "per_instance_variance",
     "run_booster",
-    "save_checkpoint",
     "save_csv",
     "save_scores",
     "scale_features",

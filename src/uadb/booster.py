@@ -62,17 +62,14 @@ class BoosterConfig:
     """Loop length T, cross-fitting folds, strategy, and training settings.
 
     fold_count = 1 disables cross-fitting (one model, in-sample predictions).
-    holdout_final scores each row with the model that held it out instead of
-    averaging all fold models at the end. reinit_per_iteration discards the
-    warm-started weights and draws a fresh init before each iteration.
+    Each fold model warm-starts from its previous round's weights, and the
+    final scores are the mean output of all fold models.
     """
 
     T: int = 10
     fold_count: int = 3
     strategy: Strategy = Strategy.UADB
     train: TrainSpec = field(default_factory=TrainSpec)
-    reinit_per_iteration: bool = False
-    holdout_final: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -101,7 +98,8 @@ class InputConditioner:
     @classmethod
     def fit(cls, X: np.ndarray) -> "InputConditioner":
         mu = X.mean(axis=0)
-        cov = np.atleast_2d(np.cov(X - mu, rowvar=False, bias=True))
+        with np.errstate(over="ignore"):  # the finiteness check below reports it
+            cov = np.atleast_2d(np.cov(X - mu, rowvar=False, bias=True))
         if not np.all(np.isfinite(cov)):
             raise DataError(f"feature covariance {OVERFLOW_HINT}")
         _, vecs = np.linalg.eigh(cov)
@@ -189,10 +187,6 @@ class _FoldEnsemble:
     def train_round(self, labels: ScoreVector, iteration: int) -> None:
         cfg = self.cfg
         for f in range(cfg.fold_count):
-            if cfg.reinit_per_iteration:
-                self.models[f] = init_mlp(
-                    self.X.shape[1], derive(cfg.seed, _TAG_MODEL_INIT, f, iteration)
-                )
             rows = np.flatnonzero(self.folds != f) if cfg.fold_count > 1 else np.arange(len(self.folds))
             spec = replace(cfg.train, seed=derive(cfg.train.seed, _TAG_TRAIN_SHUFFLE, iteration, f))
             targets = ScoreVector(labels.values[rows], normalized=True)
@@ -206,10 +200,10 @@ class _FoldEnsemble:
             p[rows] = forward(self.models[f], self.X[rows]).values
         return p
 
-    def inference(self) -> np.ndarray:
-        if self.cfg.holdout_final:
-            return self.out_of_fold()
-        return np.stack([forward(m, self.X).values for m in self.models]).mean(axis=0)
+
+def _fold_mean(models: list[MlpModel] | tuple[MlpModel, ...], X: np.ndarray) -> np.ndarray:
+    """Mean output of the fold models at each row of conditioned X."""
+    return np.stack([forward(m, X).values for m in models]).mean(axis=0)
 
 
 def _discrepancy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,7 +251,7 @@ def run_booster(ds: Dataset, teacher: ScoreVector, cfg: BoosterConfig) -> Booste
         if not single_pass:
             history[:, t] = current.values
 
-    booster_out = ensemble.inference()
+    booster_out = _fold_mean(ensemble.models, ensemble.X)
     if cfg.strategy in (Strategy.DISCREPANCY, Strategy.DISCREPANCY_STAR):
         final = _discrepancy(booster_out, y1.values)
     else:
@@ -276,27 +270,22 @@ def score_points(result: BoosterResult, X: np.ndarray) -> np.ndarray:
     """Mean booster-model output at arbitrary points (e.g. a plotting grid)."""
     if not result.models:
         raise ValueError("result carries no fitted models")
-    X = np.asarray(X, dtype=np.float64)
     if result.conditioner is not None:
         X = result.conditioner.apply(X)
-    return np.stack([forward(m, X).values for m in result.models]).mean(axis=0)
+    return _fold_mean(result.models, X)
 
 
-def classify_cases(
-    teacher: ScoreVector | np.ndarray, labels: np.ndarray, threshold: float | None = None
-) -> dict[str, np.ndarray]:
+def classify_cases(teacher: ScoreVector | np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:
     """Split rows into TP/FP/FN/TN by thresholding the teacher's scores.
 
-    With threshold None, the top-q rule predicts exactly as many anomalies
-    as the labels contain (score ties broken by lowest row index); a float
-    threshold predicts rows with score strictly above it. Empty cases are
-    dropped.
+    The top-q rule predicts exactly as many anomalies as the labels contain
+    (score ties broken by lowest row index). Empty cases are dropped.
     """
     labels = np.asarray(labels)
     n = len(teacher)
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
-    predicted = threshold_predictions(teacher, int(labels.sum()), threshold)
+    predicted = threshold_predictions(teacher, int(labels.sum()))
     actual = labels == 1
     cases = {
         "TP": predicted & actual,
@@ -307,9 +296,7 @@ def classify_cases(
     return {name: np.flatnonzero(mask) for name, mask in cases.items() if mask.any()}
 
 
-def correction_trace(
-    result: BoosterResult, ds: Dataset, threshold: float | None = None
-) -> dict[str, np.ndarray]:
+def correction_trace(result: BoosterResult, ds: Dataset) -> dict[str, np.ndarray]:
     """Mean pseudo-label rank of each teacher-outcome case across iterations.
 
     Ranks are ascending average ranks (1 = lowest score, ties share their
@@ -320,7 +307,7 @@ def correction_trace(
     if ds.labels is None:
         raise ValueError("correction_trace requires ground-truth labels")
     history = result.label_history
-    cases = classify_cases(history[:, 0], ds.labels, threshold)
+    cases = classify_cases(history[:, 0], ds.labels)
     trace = {name: np.empty(history.shape[1]) for name in cases}
     for col in range(history.shape[1]):
         ranks = rankdata(history[:, col], method="average")

@@ -144,8 +144,6 @@ def _booster_config(cfg: dict, strategy: Strategy, seed: int) -> BoosterConfig:
         fold_count=cfg["folds"],
         strategy=strategy,
         train=train,
-        reinit_per_iteration=cfg["reinit"],
-        holdout_final=cfg["holdout_final"],
         seed=seed,
     )
 
@@ -279,8 +277,6 @@ _BOOST_DEFAULTS = {
     "batch_size": 256,
     "learning_rate": 0.001,
     "loss": "cross-entropy",
-    "reinit": False,
-    "holdout_final": False,
     "repeat": 1,
     "trees": 100,
     "subsample": 256,
@@ -444,18 +440,6 @@ def _add_booster_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--loss", choices=[kind.value for kind in Loss])
-    p.add_argument(
-        "--reinit",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="re-initialize the network every iteration instead of warm-starting",
-    )
-    p.add_argument(
-        "--holdout-final",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="final scores from held-out models only instead of the fold average",
-    )
     _add_detector_args(p)
 
 

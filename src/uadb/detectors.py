@@ -110,8 +110,9 @@ def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.empty((n, k), dtype=np.intp)
     for a in range(0, n, block):
         b = min(a + block, n)
-        diff = X[a:b, None, :] - X[None, :, :]
-        diff *= diff
+        with np.errstate(over="ignore"):  # the finiteness check below reports it
+            diff = X[a:b, None, :] - X[None, :, :]
+            diff *= diff
         D = np.sqrt(diff.sum(axis=-1))
         D[np.arange(b - a), np.arange(a, b)] = np.inf
         kth = np.partition(D, k - 1, axis=1)[:, k - 1]
@@ -270,7 +271,8 @@ def fit_score_pca(ds: Dataset, components: int | None = None) -> ScoreVector:
     if not 1 <= components < d:
         raise DataError(f"need 1 <= components < d, got components={components}, d={d}")
     centered = X - X.mean(axis=0)
-    cov = (centered.T @ centered) / (n - 1)
+    with np.errstate(over="ignore"):  # the finiteness check below reports it
+        cov = (centered.T @ centered) / (n - 1)
     if not np.all(np.isfinite(cov)):
         raise DataError(f"feature covariance {OVERFLOW_HINT}")
     _, vecs = np.linalg.eigh(cov)  # ascending eigenvalues

@@ -78,16 +78,12 @@ def variance_gap(variance, labels) -> float:
     return (v_normal - v_abnormal) / v_abnormal
 
 
-def threshold_predictions(scores, n_pos: int, threshold: float | None = None) -> np.ndarray:
-    """Boolean anomaly predictions from scores.
+def threshold_predictions(scores, n_pos: int) -> np.ndarray:
+    """Boolean anomaly predictions from scores by the contamination rule.
 
-    threshold None applies the contamination rule: exactly the top n_pos
-    scores are flagged, ties broken by lowest row index. A float flags
-    scores strictly above it.
+    Exactly the top n_pos scores are flagged, ties broken by lowest row index.
     """
     s = _values(scores)
-    if threshold is not None:
-        return s > threshold
     if not 0 <= n_pos <= s.size:
         raise ValueError(f"need 0 <= n_pos <= {s.size}, got {n_pos}")
     order = np.lexsort((np.arange(s.size), -s))
@@ -96,12 +92,12 @@ def threshold_predictions(scores, n_pos: int, threshold: float | None = None) ->
     return predicted
 
 
-def correction_rate(teacher, booster, labels, threshold: float | None = None) -> float:
+def correction_rate(teacher, booster, labels) -> float:
     """Fraction of the teacher's thresholded errors the booster gets right.
 
-    Both score vectors are thresholded by the same rule (contamination
-    top-q by default, q = labeled anomaly count). Returns 1.0 with a
-    warning when the teacher makes no errors.
+    Both score vectors are thresholded by the contamination top-q rule
+    (q = labeled anomaly count, ties broken by lowest row index). Returns
+    1.0 with a warning when the teacher makes no errors.
     """
     t = _values(teacher)
     b = _values(booster)
@@ -112,10 +108,10 @@ def correction_rate(teacher, booster, labels, threshold: float | None = None) ->
         raise ValueError("correction_rate needs both classes present")
     n_pos = int(y.sum())
     actual = y == 1
-    teacher_wrong = threshold_predictions(t, n_pos, threshold) != actual
+    teacher_wrong = threshold_predictions(t, n_pos) != actual
     if not teacher_wrong.any():
         warnings.warn("teacher made no errors; correction rate is vacuously 1", VacuousCorrectionWarning)
         return 1.0
-    booster_right = threshold_predictions(b, n_pos, threshold) == actual
+    booster_right = threshold_predictions(b, n_pos) == actual
     return float((teacher_wrong & booster_right).sum() / teacher_wrong.sum())
 

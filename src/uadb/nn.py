@@ -17,10 +17,8 @@ under tight step budgets. Squared error remains available as an option.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -38,9 +36,6 @@ _INIT_OFFSET_UNITS = 18
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-
-CHECKPOINT_FORMAT = "uadb-mlp"
-CHECKPOINT_VERSION = 2
 
 
 class Loss(enum.Enum):
@@ -72,7 +67,7 @@ def _shapes(d: int, hidden: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class MlpModel:
-    """One flat float64 parameter vector theta = [W1, b1, W2, b2, W3, b3], plus init metadata.
+    """One flat float64 parameter vector theta = [W1, b1, W2, b2, W3, b3] for input width d.
 
     weights[i] (shape (fan_in, fan_out)) and biases[i] (shape (fan_out,))
     are views into theta, so an edit to either shows in the other.
@@ -81,7 +76,6 @@ class MlpModel:
     theta: np.ndarray
     d: int
     hidden: int = 128
-    seed: int = 0
     weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
     biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
@@ -96,7 +90,7 @@ class MlpModel:
         return self.theta.size
 
     def copy(self) -> "MlpModel":
-        return MlpModel(self.theta.copy(), self.d, self.hidden, self.seed)
+        return MlpModel(self.theta.copy(), self.d, self.hidden)
 
 
 def init_mlp(d: int, seed: int = 0, hidden: int = 128) -> MlpModel:
@@ -127,7 +121,7 @@ def init_mlp(d: int, seed: int = 0, hidden: int = 128) -> MlpModel:
         else:
             b = np.zeros(fan_out)
         parts += [u * 2.0 * bound - bound, b]
-    return MlpModel(np.concatenate(parts), d, hidden, seed)
+    return MlpModel(np.concatenate(parts), d, hidden)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -247,27 +241,3 @@ def gradient_check(
         fd = (hi - lo) / (2.0 * h)
         worst = max(worst, abs(g - fd) / max(abs(g) + abs(fd), 1e-6))
     return worst
-
-
-def save_checkpoint(m: MlpModel, path: str | Path) -> None:
-    """JSON checkpoint; decimal repr round-trips float64 exactly."""
-    blob = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "d": m.d,
-        "hidden": m.hidden,
-        "seed": m.seed,
-        "weights": [w.tolist() for w in m.weights],
-        "biases": [b.tolist() for b in m.biases],
-    }
-    Path(path).write_text(json.dumps(blob), encoding="utf-8")
-
-
-def load_checkpoint(path: str | Path) -> MlpModel:
-    blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    if blob.get("format") != CHECKPOINT_FORMAT or blob.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} {CHECKPOINT_FORMAT} checkpoint")
-    arrays = [np.array(a, dtype=np.float64) for pair in zip(blob["weights"], blob["biases"]) for a in pair]
-    if [a.shape for a in arrays] != _shapes(blob["d"], blob["hidden"]):
-        raise ValueError(f"{path}: weight shapes do not match declared architecture")
-    return MlpModel(np.concatenate([a.ravel() for a in arrays]), blob["d"], blob["hidden"], blob["seed"])

@@ -212,7 +212,10 @@ def test_criterion_4_knn_and_variance_oracles():
 
 @pytest.fixture(scope="module")
 def suite_runs():
-    """Default-config booster runs for all 8 pairs x 5 seeds, plus timings."""
+    """Default-config booster runs for all 8 pairs x 5 seeds, plus timings.
+
+    Each row keeps its dataset and teacher scores so criterion 8 reuses them.
+    """
     stats = {}
     timings = {}
     for kind, det in PAIRS:
@@ -230,6 +233,8 @@ def suite_runs():
                     "auc": aucroc(res.final_scores, ds.labels),
                     "ap": average_precision(res.final_scores, ds.labels),
                     "var_delta": float(v[ds.labels == 1].mean() - v[ds.labels == 0].mean()),
+                    "ds": ds,
+                    "teacher": teacher,
                 }
             )
         stats[(kind, det)] = rows
@@ -305,11 +310,10 @@ def test_criterion_8_ablation_ordering(suite_runs):
     cache = {}
     for strategy in reduced:
         for kind in kinds:
-            for s in SEEDS:
-                ds = generate_synthetic(kind, seed=s)
-                teacher = fit_score(ds, DetectorParams(kind=DetectorKind.IFOREST, seed=s))
+            for s, row in zip(SEEDS, uadb_rows[kind]):
+                ds = row["ds"]
                 cfg = BoosterConfig(strategy=strategy, seed=s, train=TrainSpec(seed=s))
-                res = run_booster(ds, teacher, cfg)
+                res = run_booster(ds, row["teacher"], cfg)
                 cache[(strategy, kind, s)] = (
                     aucroc(res.final_scores, ds.labels),
                     average_precision(res.final_scores, ds.labels),

@@ -11,6 +11,7 @@ import pytest
 
 import uadb
 from uadb.cli import main
+from uadb.rng import Stream
 
 
 def _read(path):
@@ -370,15 +371,41 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
     assert json.loads(rep.read_text())["config"]["seed"] == 9
 
 
-def test_console_entry_point_runs():
+def _run_console(*args: str) -> subprocess.CompletedProcess:
     # the child must find the same uadb the tests import, installed or not
     src = str(Path(uadb.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "uadb.cli", "synth", "--kind", "global", "--n", "20"],
+    return subprocess.run(
+        [sys.executable, "-m", "uadb.cli", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def test_console_entry_point_runs():
+    proc = _run_console("synth", "--kind", "global", "--n", "20")
     assert proc.returncode == 0
     assert "n=20" in proc.stdout
+
+
+@pytest.mark.parametrize("magnitude", [1e160, 1e300])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["detect", "--detector", "pca"],
+        ["detect", "--detector", "lof"],
+        ["detect", "--detector", "knn"],
+        ["boost", "--teacher", "hbos"],
+    ],
+    ids=["pca", "lof", "knn", "boost-hbos"],
+)
+def test_unscaled_overflow_prints_one_error_line(tmp_path, command, magnitude):
+    # numpy's overflow warnings must not precede the error in a fresh process
+    path = tmp_path / "huge.csv"
+    uadb.save_csv(uadb.Dataset(features=Stream(17).normal(120).reshape(60, 2) * magnitude), path)
+    proc = _run_console(*command, "--data", str(path), "--no-scale")
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.endswith("rescale the features (CLI: --scale)\n")

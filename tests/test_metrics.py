@@ -146,11 +146,6 @@ def test_threshold_predictions_top_q():
     assert got.tolist() == [True, True, False, False]  # tie at 0.5 -> lower index
 
 
-def test_threshold_predictions_float_rule():
-    s = np.array([0.9, 0.5, 0.1])
-    assert threshold_predictions(s, 1, threshold=0.5).tolist() == [True, False, False]
-
-
 def test_threshold_predictions_validation():
     with pytest.raises(ValueError):
         threshold_predictions(np.array([0.1, 0.2]), 3)

@@ -13,8 +13,6 @@ from uadb.nn import (
     forward,
     gradient_check,
     init_mlp,
-    load_checkpoint,
-    save_checkpoint,
     train,
 )
 from uadb.rng import Stream, derive
@@ -283,54 +281,3 @@ def test_default_loss_is_cross_entropy():
     assert TrainSpec().loss is Loss.CROSS_ENTROPY
     assert Loss.CROSS_ENTROPY.value == "cross-entropy"
     assert Loss.SQUARED_ERROR.value == "squared-error"
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def test_checkpoint_round_trip(tmp_path):
-    X, y = _tiny_batch(81, n=10, d=3)
-    m = train(init_mlp(3, seed=80), X, y, TrainSpec(seed=82))
-    path = tmp_path / "model.json"
-    save_checkpoint(m, path)
-    back = load_checkpoint(path)
-    assert back.hidden == m.hidden and back.seed == m.seed
-    for w1, w2 in zip(m.weights, back.weights):
-        assert np.array_equal(w1, w2)
-    for b1, b2 in zip(m.biases, back.biases):
-        assert np.array_equal(b1, b2)
-
-
-def test_checkpoint_resave_is_byte_identical(tmp_path):
-    X, y = _tiny_batch(83, n=10, d=3)
-    first, second = tmp_path / "first.json", tmp_path / "second.json"
-    save_checkpoint(train(init_mlp(3, seed=84, hidden=8), X, y, TrainSpec(seed=85)), first)
-    save_checkpoint(load_checkpoint(first), second)
-    assert first.read_bytes() == second.read_bytes()
-
-
-def test_checkpoint_rejects_foreign_blob(tmp_path):
-    path = tmp_path / "model.json"
-    save_checkpoint(init_mlp(2, seed=91, hidden=4), path)
-    import json
-
-    current = json.loads(path.read_text(encoding="utf-8"))
-    # a foreign format, and a version-1 blob from before the activation field was dropped
-    for blob in ({"format": "other", "version": 1}, {**current, "version": 1, "activation": "relu"}):
-        path.write_text(json.dumps(blob), encoding="utf-8")
-        with pytest.raises(ValueError, match="not a version-2 uadb-mlp checkpoint"):
-            load_checkpoint(path)
-
-
-def test_checkpoint_shape_mismatch(tmp_path):
-    m = init_mlp(2, seed=90, hidden=4)
-    path = tmp_path / "model.json"
-    save_checkpoint(m, path)
-    import json
-
-    blob = json.loads(path.read_text(encoding="utf-8"))
-    blob["d"] = 3  # declared architecture no longer matches stored arrays
-    path.write_text(json.dumps(blob), encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
