@@ -35,11 +35,10 @@ import enum
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import DataError, Dataset
 from .detectors import OVERFLOW_HINT, ScoreVector, minmax_scale
-from .metrics import aucroc, average_precision, threshold_predictions
+from .metrics import _average_ranks, aucroc, average_precision, threshold_predictions
 from .nn import MlpModel, TrainSpec, forward, init_mlp, train
 from .rng import Stream, derive
 
@@ -310,7 +309,7 @@ def correction_trace(result: BoosterResult, ds: Dataset) -> dict[str, np.ndarray
     cases = classify_cases(history[:, 0], ds.labels)
     trace = {name: np.empty(history.shape[1]) for name in cases}
     for col in range(history.shape[1]):
-        ranks = rankdata(history[:, col], method="average")
+        ranks = _average_ranks(history[:, col])
         for name, rows in cases.items():
             trace[name][col] = ranks[rows].mean()
     return trace

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from .data import DataError, Dataset
@@ -26,7 +27,7 @@ from .rng import Stream, derive
 
 # reachability floor for coincident points; keeps LOF finite on duplicates
 LOF_DISTANCE_FLOOR = 1e-12
-# squared differences held at once by the blocked neighbor search
+# squared differences held at once by the neighbor search
 NEIGHBOR_BLOCK_ELEMENTS = 2**21
 # tail of the error raised where squared feature magnitudes leave float64
 OVERFLOW_HINT = "overflow float64; rescale the features (CLI: --scale)"
@@ -99,28 +100,41 @@ def minmax_scale(v: ScoreVector) -> ScoreVector:
 def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k nearest other rows as (dist, idx), ordered by (distance, row index).
 
-    Rows are walked in blocks holding about NEIGHBOR_BLOCK_ELEMENTS
-    differences, so memory is O(block * n) rather than O(n^2 * d). Only the
-    candidates at or below the k-th distance are stable-sorted, which picks
-    the same neighbors at a tied k-th boundary as a full stable argsort.
+    A KD-tree proposes every row within (1 + 1e-9) times the k-th distance.
+    Their distances are recomputed in one float64 form and sorted, so ties at
+    the k-th boundary resolve exactly as in an exhaustive scan. Rows whose K
+    results (K = k + 2 at first) all fall inside that radius are queried again
+    with K doubled. Chunks of NEIGHBOR_BLOCK_ELEMENTS // (K * d) rows bound memory.
     """
     n, d = X.shape
-    block = max(1, NEIGHBOR_BLOCK_ELEMENTS // (n * d))
+    if not 1 <= k < n:
+        raise DataError(f"need 1 <= k < n, got k={k}, n={n}")
+    tree = cKDTree(X)
     dist = np.empty((n, k))
     idx = np.empty((n, k), dtype=np.intp)
-    for a in range(0, n, block):
-        b = min(a + block, n)
-        with np.errstate(over="ignore"):  # the finiteness check below reports it
-            diff = X[a:b, None, :] - X[None, :, :]
-            diff *= diff
-        D = np.sqrt(diff.sum(axis=-1))
-        D[np.arange(b - a), np.arange(a, b)] = np.inf
-        kth = np.partition(D, k - 1, axis=1)[:, k - 1]
-        for r in range(b - a):
-            cand = np.flatnonzero(D[r] <= kth[r])
-            near = cand[np.argsort(D[r, cand], kind="stable")[:k]]
-            idx[a + r], dist[a + r] = near, D[r, near]
-    if not np.all(np.isfinite(dist)):
+    rows, K = np.arange(n), min(k + 2, n)
+    while rows.size:
+        block = max(1, NEIGHBOR_BLOCK_ELEMENTS // (K * d))
+        unsettled = []
+        for a in range(0, rows.size, block):
+            r = rows[a : a + block]
+            qd, qi = tree.query(X[r], k=K)
+            radius = qd[:, k] * (1.0 + 1e-9)  # k-th distance to another row, slack for rounding
+            if not np.all(np.isfinite(radius)):
+                raise DataError(f"neighbor distances {OVERFLOW_HINT}")
+            settled = (qd[:, -1] > radius) | (K == n)
+            unsettled.append(r[~settled])
+            r, qi = r[settled, None], qi[settled]
+            other = (qi != r) & (qi < n)  # the tree returns index n for a missing neighbor
+            with np.errstate(over="ignore"):  # the finiteness check below reports it
+                diff = X[r] - X[np.minimum(qi, n - 1)]
+                diff *= diff
+            D = np.where(other, np.sqrt(diff.sum(axis=-1)), np.inf)
+            near = np.lexsort((qi, D))[:, :k]
+            idx[r[:, 0]] = np.take_along_axis(qi, near, axis=1)
+            dist[r[:, 0]] = np.take_along_axis(D, near, axis=1)
+        rows, K = np.concatenate(unsettled), min(2 * K, n)
+    if not np.all(np.isfinite(dist)):  # self and missing slots sort as inf: they only show past an overflow
         raise DataError(f"neighbor distances {OVERFLOW_HINT}")
     return dist, idx
 
@@ -226,13 +240,7 @@ def fit_score_hbos(ds: Dataset, bins: int = 10) -> ScoreVector:
 
 
 def fit_score_lof(ds: Dataset, k: int = 20) -> ScoreVector:
-    """Classic LOF over exactly k neighbors, reachability floored at 1e-12.
-
-    Neighbor search is blocked over rows: O(block * n) memory, not O(n^2 * d).
-    """
-    n = ds.n
-    if not 1 <= k < n:
-        raise DataError(f"need 1 <= k < n, got k={k}, n={n}")
+    """Classic LOF over exactly k neighbors (exact KD-tree search), reachability floored at 1e-12."""
     dist, neighbors = _neighbors(ds.features, k)
     k_dist = dist[:, k - 1]
     reach = np.maximum(k_dist[neighbors], dist)
@@ -246,13 +254,7 @@ def fit_score_lof(ds: Dataset, k: int = 20) -> ScoreVector:
 
 
 def fit_score_knn(ds: Dataset, k: int = 5) -> ScoreVector:
-    """Euclidean distance to the k-th nearest neighbor, self excluded.
-
-    Neighbor search is blocked over rows: O(block * n) memory, not O(n^2 * d).
-    """
-    n = ds.n
-    if not 1 <= k < n:
-        raise DataError(f"need 1 <= k < n, got k={k}, n={n}")
+    """Euclidean distance to the k-th nearest neighbor, self excluded (exact KD-tree search)."""
     return ScoreVector(_neighbors(ds.features, k)[0][:, k - 1])
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 class VacuousCorrectionWarning(UserWarning):
@@ -36,6 +35,19 @@ def _binary_labels(labels, n: int) -> np.ndarray:
     return y.astype(np.int64)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ascending ranks from 1, ties sharing their mean rank, as scipy.stats.rankdata (NaN: all NaN)."""
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.r_[True, xs[1:] != xs[:-1]]  # start of each tie group in sorted order
+    count = np.r_[np.flatnonzero(first), x.size]
+    dense = np.empty(x.size, dtype=np.intp)
+    dense[order] = np.cumsum(first)
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def aucroc(scores, labels) -> float:
     """P(random positive outranks random negative), ties counted 1/2."""
     s = _values(scores)
@@ -44,7 +56,7 @@ def aucroc(scores, labels) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("aucroc needs at least one positive and one negative label")
-    ranks = rankdata(s, method="average")
+    ranks = _average_ranks(s)
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -134,6 +134,29 @@ def _oracle_iforest(X: np.ndarray, trees: int, subsample: int, seed: int) -> np.
     return np.power(2.0, -(total / trees) / detectors._avg_path_length(m))
 
 
+def _oracle_neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocked O(n^2 * d) scan the KD-tree search replaced, kept as its bit-exact oracle."""
+    n, d = X.shape
+    block = max(1, 2**21 // (n * d))
+    dist = np.empty((n, k))
+    idx = np.empty((n, k), dtype=np.intp)
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        with np.errstate(over="ignore"):  # the finiteness check below reports it
+            diff = X[a:b, None, :] - X[None, :, :]
+            diff *= diff
+        D = np.sqrt(diff.sum(axis=-1))
+        D[np.arange(b - a), np.arange(a, b)] = np.inf
+        kth = np.partition(D, k - 1, axis=1)[:, k - 1]
+        for r in range(b - a):
+            cand = np.flatnonzero(D[r] <= kth[r])
+            near = cand[np.argsort(D[r, cand], kind="stable")[:k]]
+            idx[a + r], dist[a + r] = near, D[r, near]
+    if not np.all(np.isfinite(dist)):
+        raise DataError(f"neighbor distances {detectors.OVERFLOW_HINT}")
+    return dist, idx
+
+
 def _oracle_pca_residual(X: np.ndarray, components: int) -> np.ndarray:
     centered = X - X.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -331,19 +354,76 @@ def test_knn_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
-# blocked neighbor search shared by LOF and kNN
+# KD-tree neighbor search shared by LOF and kNN
+
+
+def _binary_points(seed: int, n: int, d: int, density: float) -> np.ndarray:
+    """Sparse 0/1 features: most rows repeat, so nearly every k-th boundary is tied."""
+    return (Stream(seed).uniform(n * d).reshape(n, d) < density).astype(float)
+
+
+def _permuted_shell(seed: int, d: int) -> np.ndarray:
+    """The origin and signed permutations of one vector: ties that float sums break by order."""
+    stream = Stream(seed)
+    base = np.round(stream.uniform(d), 2)
+    shell = np.array([base[stream.permutation(d)] for _ in range(40)])
+    return np.vstack([np.zeros(d), shell, -shell])
+
+
+def test_neighbors_match_blocked_scan_oracle():
+    grid = np.array([[i, j] for i in range(12) for j in range(12)], dtype=float)
+    cases = [generate_synthetic(kind, n=300, seed=4).features for kind in SyntheticKind]
+    cases += [
+        np.repeat(_random_points(20, 40, 3), 6, axis=0),  # every row has five exact twins
+        grid,
+        _binary_points(21, 400, 12, 0.1),
+        _random_points(22, 300, 9),
+        _random_points(23, 120, 40),
+        np.array([[0.0], [2.0]]),
+        np.array([[0.0], [1.0], [3.0]]),
+        np.ones((25, 3)),
+        _permuted_shell(26, 12),
+        _permuted_shell(33, 9),
+    ]
+    for X in cases:
+        n = len(X)
+        for k in sorted({k for k in (1, 5, 20, n - 1) if k < n}):
+            got, want = detectors._neighbors(X, k), _oracle_neighbors(X, k)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (X.shape, k)
+    local = generate_synthetic(SyntheticKind.LOCAL, n=4000, seed=4).features
+    got, want = detectors._neighbors(local, 20), _oracle_neighbors(local, 20)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_neighbor_blocks_split_anywhere_same_bits(monkeypatch):
     X = _random_points(10, 50, 3)
     X[25:] = X[:25]  # duplicate rows tie across block boundaries
-    ds = Dataset(features=X)
-    lof = fit_score_lof(ds, k=5).values
-    knn = fit_score_knn(ds, k=5).values
-    for rows in (1, 7):  # 7 rows: blocks end at odd row counts, last one short
-        monkeypatch.setattr(detectors, "NEIGHBOR_BLOCK_ELEMENTS", rows * 50 * 3)
-        assert np.array_equal(fit_score_lof(ds, k=5).values, lof)
-        assert np.array_equal(fit_score_knn(ds, k=5).values, knn)
+    binary = _binary_points(13, 60, 6, 0.2)  # tied boundaries: rows are queried again with K doubled
+    runs = [(X, 5), (X, 4), (binary, 5)]  # k=4 on twinned rows ties the k-th with the next distance
+
+    def scores(A, k):
+        ds = Dataset(features=A)
+        return fit_score_lof(ds, k=k).values, fit_score_knn(ds, k=k).values
+
+    want = [scores(A, k) for A, k in runs]
+    queries = []
+
+    class CountingTree(detectors.cKDTree):
+        def query(self, x, k):
+            queries.append((len(x), k))
+            return super().query(x, k=k)
+
+    monkeypatch.setattr(detectors, "cKDTree", CountingTree)
+    for rows in (1, 7):  # 7 rows: chunks end at odd row counts, last one short
+        for (A, k), (lof, knn) in zip(runs, want):
+            # the first round queries K = k + 2 neighbors of each row
+            monkeypatch.setattr(detectors, "NEIGHBOR_BLOCK_ELEMENTS", rows * (k + 2) * A.shape[1])
+            queries.clear()
+            got_lof, got_knn = scores(A, k)
+            assert np.array_equal(got_lof, lof) and np.array_equal(got_knn, knn)
+            assert max(m for m, _ in queries) == rows
+            if k == 4 or A is binary:  # later rounds, with larger K, also span several chunks
+                assert sum(K > k + 2 for _, K in queries) > 2
 
 
 def test_neighbors_tied_kth_boundary_match_oracles():
@@ -388,6 +468,31 @@ def test_lof_peak_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 96 * 2**20  # a full 3000 x 3000 x 2 difference tensor alone is 137 MiB
+
+
+def test_neighbor_tie_next_to_overflow_matches_oracles():
+    # row 0 ties rows 1 and 2 at distance 1; every distance to a 1e160 row overflows when squared
+    X = np.array([[0.0], [1.0], [-1.0], [1e160], [1.0000000000001e160]])
+    ds = Dataset(features=X)
+    lof, knn = fit_score_lof(ds, k=1).values, fit_score_knn(ds, k=1).values
+    assert np.all(np.isfinite(lof)) and np.all(np.isfinite(knn))
+    got, want = detectors._neighbors(X, 1), _oracle_neighbors(X, 1)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(lof, _oracle_lof(X, 1))
+        assert np.array_equal(knn, _oracle_knn(X, 1))
+
+
+def test_lof_peak_memory_bounded_on_tied_binary():
+    # about 1700 of 6000 rows are all zero, so their K doubles to 2816 before it passes the tie
+    ds = Dataset(features=_binary_points(14, 6000, 12, 0.1))
+    tracemalloc.start()
+    try:
+        fit_score_lof(ds, k=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
 
 
 # ---------------------------------------------------------------------------

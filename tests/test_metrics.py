@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from uadb import (
     ScoreVector,
@@ -12,6 +13,7 @@ from uadb import (
     threshold_predictions,
     variance_gap,
 )
+from uadb.metrics import _average_ranks
 from uadb.rng import Stream
 
 # ---------------------------------------------------------------------------
@@ -60,6 +62,20 @@ def _random_instance(stream, tie_heavy):
 
 # ---------------------------------------------------------------------------
 # aucroc
+
+
+def test_average_ranks_match_scipy_rankdata():
+    stream = Stream(40)
+    for i in range(600):
+        n = 1 + stream.index(50)
+        x = stream.normal(n)
+        if i % 3 == 1:
+            x = np.floor(x * 2.0)  # heavy ties
+        elif i % 3 == 2:
+            x[stream.index(n)] = -np.inf
+        assert np.array_equal(_average_ranks(x), rankdata(x, method="average"))
+    assert _average_ranks(np.empty(0)).shape == (0,)
+    assert np.isnan(_average_ranks(np.array([0.5, np.nan, 0.2]))).all()
 
 
 def test_aucroc_perfect_ranking():
