@@ -1,6 +1,6 @@
 """Model-agnostic booster for unsupervised anomaly detectors on tabular data.
 
-Typical use: fit any detector, normalize its scores, and hand them to
+Typical use: fit any detector and hand its scores, a 1-d array, to
 run_booster as the teacher. The booster trains a small network on the
 evolving pseudo labels and corrects them with per-instance prediction
 variance, which concentrates on the teacher's mistakes.
@@ -31,7 +31,6 @@ from .detectors import (
     DegenerateDataWarning,
     DetectorKind,
     DetectorParams,
-    ScoreVector,
     fit_score,
     fit_score_hbos,
     fit_score_iforest,
@@ -39,7 +38,6 @@ from .detectors import (
     fit_score_lof,
     fit_score_pca,
     import_scores,
-    minmax_scale,
     minmax_values,
     save_scores,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "InputConditioner",
     "Loss",
     "MlpModel",
-    "ScoreVector",
     "Strategy",
     "SyntheticKind",
     "TrainSpec",
@@ -96,7 +93,6 @@ __all__ = [
     "import_scores",
     "init_mlp",
     "load_csv",
-    "minmax_scale",
     "minmax_values",
     "per_instance_variance",
     "run_booster",

@@ -37,9 +37,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import DataError, Dataset
-from .detectors import OVERFLOW_HINT, ScoreVector, minmax_scale
+from .detectors import OVERFLOW_HINT, minmax_values
 from .metrics import _average_ranks, aucroc, average_precision, threshold_predictions
-from .nn import MlpModel, TrainSpec, forward, init_mlp, train
+from .nn import MlpModel, TrainSpec, _unit_targets, forward, init_mlp, train
 from .rng import Stream, derive
 
 # seed-derivation tags; keep distinct so streams never overlap
@@ -114,8 +114,9 @@ class InputConditioner:
 
 @dataclass(frozen=True)
 class BoosterResult:
-    """Final normalized scores plus the full label/variance trajectory.
+    """Final scores plus the full label/variance trajectory and the fitted models.
 
+    final_scores is a float64 (n,) array min-max scaled to [0, 1].
     label_history is an (n, t) float64 array of pseudo-label columns:
     column 0 is the normalized teacher, then one column per iteration
     (t = T + 1 for uadb, self and discrepancy-star; t = 1 for naive and
@@ -123,17 +124,18 @@ class BoosterResult:
     (n, k) float64 array with one column per variance step: k = T for uadb,
     k = 0 for every other strategy.
 
-    diagnostics holds one row per training iteration (AUCROC of that
-    iteration's out-of-fold predictions); only computed when the dataset
-    carries ground-truth labels.
+    diagnostics holds one row per training iteration (AUCROC and AP of that
+    iteration's out-of-fold predictions); it is empty unless the dataset
+    carries ground-truth labels. models are the fold_count fold models and
+    conditioner the input transform they were trained behind.
     """
 
-    final_scores: ScoreVector
+    final_scores: np.ndarray
     label_history: np.ndarray
     variance_history: np.ndarray
-    diagnostics: tuple[dict, ...] = ()
-    models: tuple[MlpModel, ...] = ()
-    conditioner: InputConditioner | None = None
+    diagnostics: tuple[dict, ...]
+    models: tuple[MlpModel, ...]
+    conditioner: InputConditioner
 
 
 def per_instance_variance(history: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -145,16 +147,18 @@ def per_instance_variance(history: np.ndarray, current: np.ndarray) -> np.ndarra
     return np.var(np.column_stack([history, current]), axis=1)
 
 
-def update_pseudo_labels(y: ScoreVector, v: np.ndarray) -> ScoreVector:
-    """Add the variance correction, then renormalize to [0, 1]."""
+def update_pseudo_labels(y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Add the variance correction v to the pseudo labels y, then renormalize to [0, 1].
+
+    y is 1-d with entries in [0, 1]; v has y's shape, finite and non-negative.
+    """
+    y = _unit_targets(y, "pseudo labels")
     v = np.asarray(v, dtype=np.float64)
-    if not y.normalized:
-        raise ValueError("pseudo labels must be normalized")
-    if v.shape != (len(y),):
-        raise ValueError(f"variances must have shape ({len(y)},), got {v.shape}")
+    if v.shape != y.shape:
+        raise ValueError(f"variances must have shape {y.shape}, got {v.shape}")
     if not (np.all(np.isfinite(v)) and np.all(v >= 0.0)):
         raise ValueError("variances must be finite and non-negative")
-    return minmax_scale(ScoreVector(y.values + v))
+    return minmax_values(y + v)
 
 
 def _assign_folds(n: int, fold_count: int, seed: int) -> np.ndarray:
@@ -165,44 +169,9 @@ def _assign_folds(n: int, fold_count: int, seed: int) -> np.ndarray:
     return folds
 
 
-@dataclass
-class _FoldEnsemble:
-    """Fold bookkeeping: per-fold models, training rows, held-out rows."""
-
-    models: list[MlpModel]
-    folds: np.ndarray
-    X: np.ndarray
-    cfg: BoosterConfig
-
-    @classmethod
-    def build(cls, X: np.ndarray, cfg: BoosterConfig) -> "_FoldEnsemble":
-        n, d = X.shape
-        if cfg.fold_count > n:
-            raise ValueError(f"fold_count {cfg.fold_count} exceeds row count {n}")
-        folds = _assign_folds(n, cfg.fold_count, cfg.seed)
-        models = [init_mlp(d, derive(cfg.seed, _TAG_MODEL_INIT, f)) for f in range(cfg.fold_count)]
-        return cls(models, folds, X, cfg)
-
-    def train_round(self, labels: ScoreVector, iteration: int) -> None:
-        cfg = self.cfg
-        for f in range(cfg.fold_count):
-            rows = np.flatnonzero(self.folds != f) if cfg.fold_count > 1 else np.arange(len(self.folds))
-            spec = replace(cfg.train, seed=derive(cfg.train.seed, _TAG_TRAIN_SHUFFLE, iteration, f))
-            targets = ScoreVector(labels.values[rows], normalized=True)
-            self.models[f] = train(self.models[f], self.X[rows], targets, spec)
-
-    def out_of_fold(self) -> np.ndarray:
-        """Each row scored by the one model whose training folds exclude it."""
-        p = np.empty(self.X.shape[0])
-        for f in range(self.cfg.fold_count):
-            rows = np.flatnonzero(self.folds == f)
-            p[rows] = forward(self.models[f], self.X[rows]).values
-        return p
-
-
 def _fold_mean(models: list[MlpModel] | tuple[MlpModel, ...], X: np.ndarray) -> np.ndarray:
     """Mean output of the fold models at each row of conditioned X."""
-    return np.stack([forward(m, X).values for m in models]).mean(axis=0)
+    return np.stack([forward(m, X) for m in models]).mean(axis=0)
 
 
 def _discrepancy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,30 +179,45 @@ def _discrepancy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) / 2.0
 
 
-def run_booster(ds: Dataset, teacher: ScoreVector, cfg: BoosterConfig) -> BoosterResult:
+def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> BoosterResult:
     """Run the selected boosting strategy end to end.
 
-    Pseudo labels start at minmax_scale(teacher). A constant teacher
-    degenerates to all 0.5 and the loop proceeds on variance alone.
+    teacher is any finite 1-d array (or list) of ds.n anomaly scores, higher
+    meaning more anomalous. Pseudo labels start at minmax_values(teacher); a
+    constant teacher degenerates to all 0.5 and the loop proceeds on
+    variance alone. Each round, fold f trains on the other folds' rows (all
+    rows when fold_count = 1) and then scores its own held-out rows.
     """
-    if len(teacher) != ds.n:
-        raise ValueError(f"teacher length {len(teacher)} != dataset rows {ds.n}")
+    teacher = np.asarray(teacher, dtype=np.float64)
+    if teacher.shape != (ds.n,):
+        raise ValueError(f"teacher must have shape ({ds.n},), got {teacher.shape}")
+    if not np.all(np.isfinite(teacher)):
+        raise DataError("teacher scores contain non-finite values")
+    if cfg.fold_count > ds.n:
+        raise ValueError(f"fold_count {cfg.fold_count} exceeds row count {ds.n}")
     labeled = ds.labels is not None
-    y1 = minmax_scale(teacher)
+    y1 = minmax_values(teacher)
     diagnostics: list[dict] = []
     conditioner = InputConditioner.fit(ds.features)
-    ensemble = _FoldEnsemble.build(conditioner.apply(ds.features), cfg)
+    X = conditioner.apply(ds.features)
+    folds = _assign_folds(ds.n, cfg.fold_count, cfg.seed)
+    models = [init_mlp(ds.d, derive(cfg.seed, _TAG_MODEL_INIT, f)) for f in range(cfg.fold_count)]
 
     # naive/discrepancy keep the static labels; their history stays one column
     single_pass = cfg.strategy in (Strategy.NAIVE, Strategy.DISCREPANCY)
     rounds = 1 if single_pass else cfg.T
     history = np.empty((ds.n, 1 if single_pass else rounds + 1))
-    history[:, 0] = y1.values
+    history[:, 0] = y1
     variances = np.empty((ds.n, rounds if cfg.strategy is Strategy.UADB else 0))
     current = y1
     for t in range(1, rounds + 1):
-        ensemble.train_round(current, t)
-        p = ensemble.out_of_fold()
+        p = np.empty(ds.n)  # each row scored by the one model whose training folds exclude it
+        for f in range(cfg.fold_count):
+            held = np.flatnonzero(folds == f)
+            rows = np.flatnonzero(folds != f) if cfg.fold_count > 1 else held
+            spec = replace(cfg.train, seed=derive(cfg.train.seed, _TAG_TRAIN_SHUFFLE, t, f))
+            models[f] = train(models[f], X[rows], current[rows], spec)
+            p[held] = forward(models[f], X[held])
         if labeled:
             diagnostics.append(
                 {
@@ -246,35 +230,31 @@ def run_booster(ds: Dataset, teacher: ScoreVector, cfg: BoosterConfig) -> Booste
             variances[:, t - 1] = per_instance_variance(history[:, :t], p)
             current = update_pseudo_labels(current, variances[:, t - 1])
         elif cfg.strategy in (Strategy.SELF, Strategy.DISCREPANCY_STAR):
-            current = minmax_scale(ScoreVector(p))
+            current = minmax_values(p)
         if not single_pass:
-            history[:, t] = current.values
+            history[:, t] = current
 
-    booster_out = _fold_mean(ensemble.models, ensemble.X)
+    booster_out = _fold_mean(models, X)
     if cfg.strategy in (Strategy.DISCREPANCY, Strategy.DISCREPANCY_STAR):
-        final = _discrepancy(booster_out, y1.values)
+        final = _discrepancy(booster_out, y1)
     else:
         final = booster_out
     return BoosterResult(
-        final_scores=minmax_scale(ScoreVector(final)),
+        final_scores=minmax_values(final),
         label_history=history,
         variance_history=variances,
         diagnostics=tuple(diagnostics),
-        models=tuple(ensemble.models),
+        models=tuple(models),
         conditioner=conditioner,
     )
 
 
 def score_points(result: BoosterResult, X: np.ndarray) -> np.ndarray:
     """Mean booster-model output at arbitrary points (e.g. a plotting grid)."""
-    if not result.models:
-        raise ValueError("result carries no fitted models")
-    if result.conditioner is not None:
-        X = result.conditioner.apply(X)
-    return _fold_mean(result.models, X)
+    return _fold_mean(result.models, result.conditioner.apply(X))
 
 
-def classify_cases(teacher: ScoreVector | np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:
+def classify_cases(teacher: np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:
     """Split rows into TP/FP/FN/TN by thresholding the teacher's scores.
 
     The top-q rule predicts exactly as many anomalies as the labels contain

@@ -29,16 +29,16 @@ from .data import (
     SyntheticKind,
     generate_synthetic,
     load_csv,
+    read_text,
     save_csv,
     scale_features,
 )
 from .detectors import (
     DetectorKind,
     DetectorParams,
-    ScoreVector,
     fit_score,
     import_scores,
-    minmax_scale,
+    minmax_values,
     save_scores,
 )
 from .metrics import aucroc, average_precision, correction_rate, variance_gap
@@ -55,7 +55,7 @@ def _default_seed() -> int:
 
 def _load_config(path: str) -> dict:
     try:
-        blob = json.loads(Path(path).read_text(encoding="utf-8"))
+        blob = json.loads(read_text(path))
     except FileNotFoundError:
         raise DataError(f"no such config file: {path}") from None
     except json.JSONDecodeError as exc:
@@ -123,7 +123,7 @@ def _teacher_params(cfg: dict) -> DetectorParams:
     )
 
 
-def _teacher_scores(ds: Dataset, cfg: dict, seed: int) -> ScoreVector:
+def _teacher_scores(ds: Dataset, cfg: dict, seed: int) -> np.ndarray:
     if (cfg["teacher"] is None) == (cfg["teacher_scores"] is None):
         raise UsageError("exactly one of --teacher / --teacher-scores is required")
     if cfg["teacher_scores"] is not None:
@@ -148,7 +148,7 @@ def _booster_config(cfg: dict, strategy: Strategy, seed: int) -> BoosterConfig:
     )
 
 
-def _run_metrics(ds: Dataset, teacher: ScoreVector, result: BoosterResult) -> dict:
+def _run_metrics(ds: Dataset, teacher: np.ndarray, result: BoosterResult) -> dict:
     y = ds.labels
     out = {
         "teacher": {"aucroc": aucroc(teacher, y), "ap": average_precision(teacher, y)},
@@ -176,10 +176,6 @@ def _save_history(result: BoosterResult, path: str) -> None:
 
 def _save_grid(result: BoosterResult, ds: Dataset, path: str, grid_size: int) -> None:
     """Booster scores over a 2-d mesh spanning the (scaled) feature ranges."""
-    if ds.d != 2:
-        raise DataError(f"grid export needs d=2 data, got d={ds.d}")
-    if grid_size < 2:
-        raise DataError(f"need grid_size >= 2, got {grid_size}")
     lo = ds.features.min(axis=0)
     hi = ds.features.max(axis=0)
     xs = np.linspace(lo[0], hi[0], grid_size)
@@ -245,7 +241,7 @@ def cmd_detect(args: argparse.Namespace, config: dict) -> tuple[dict, list[str]]
     _require(cfg, "data")
     _require(cfg, "detector")
     ds = _load_dataset(cfg)
-    scores = minmax_scale(fit_score(ds, _teacher_params({**cfg, "teacher": cfg["detector"]})))
+    scores = minmax_values(fit_score(ds, _teacher_params({**cfg, "teacher": cfg["detector"]})))
     if cfg["scores_out"] is not None:
         save_scores(scores, cfg["scores_out"])
     report = {"command": "detect", "config": cfg, "n": ds.n, "d": ds.d, "metrics": None}
@@ -301,7 +297,11 @@ def cmd_boost(args: argparse.Namespace, config: dict) -> tuple[dict, list[str]]:
     _require(cfg, "data")
     if cfg["repeat"] < 1:
         raise UsageError(f"need repeat >= 1, got {cfg['repeat']}")
+    if cfg["grid_size"] < 2:
+        raise UsageError(f"need grid_size >= 2, got {cfg['grid_size']}")
     ds = _load_dataset(cfg)
+    if cfg["grid_out"] is not None and ds.d != 2:
+        raise DataError(f"grid export needs d=2 data, got d={ds.d}")
     strategy = Strategy(cfg["strategy"])
 
     runs = []
@@ -375,7 +375,7 @@ def cmd_ablate(args: argparse.Namespace, config: dict) -> tuple[dict, list[str]]
     if ds.labels is None:
         raise DataError("ablate requires labeled data (--label-column)")
     teacher = _teacher_scores(ds, cfg, cfg["seed"])
-    scaled_teacher = minmax_scale(teacher)
+    scaled_teacher = minmax_values(teacher)
 
     rows = []
     for name, strategy in _ABLATE_ORDER:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -46,7 +47,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray | None = None
     name: str = "dataset"
-    anomaly_rate: float | None = None
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
@@ -91,17 +91,13 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"empty table: {path}") from None
-            header = [h.strip() for h in header]
-            rows = [row for row in reader if row]
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"empty table: {path}") from None
+    header = [h.strip() for h in header]
+    rows = [row for row in reader if row]
     if not rows:
         raise DataError(f"empty table: {path} has a header but no data rows")
 
@@ -138,6 +134,14 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
         labels=np.array(labels, dtype=np.int64) if label_column is not None else None,
         name=path.stem,
     )
+
+
+def read_text(path: str | Path) -> str:
+    """A whole UTF-8 text file; other bytes raise a DataError naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def save_csv(ds: Dataset, path: str | Path) -> None:
@@ -222,5 +226,4 @@ def generate_synthetic(
         features=X[order],
         labels=y[order],
         name=f"synthetic-{kind.value}",
-        anomaly_rate=anomaly_rate,
     )

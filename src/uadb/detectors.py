@@ -2,9 +2,9 @@
 
 Isolation forest, histogram-based outlier score, local outlier factor,
 k-nearest-neighbor distance, and PCA reconstruction error. Each returns a
-raw score vector (higher = more anomalous) of length n. External detector
-scores can be imported from a text file so any third-party model can act
-as a teacher.
+raw 1-d float64 score array (higher = more anomalous) of length n.
+External detector scores can be imported from a text file so any
+third-party model can act as a teacher.
 
 All detectors are deterministic given (dataset, parameters, seed), use
 Euclidean distance, and break distance ties by lowest row index.
@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, read_text
 from .rng import Stream, derive
 
 # reachability floor for coincident points; keeps LOF finite on duplicates
@@ -35,27 +35,6 @@ OVERFLOW_HINT = "overflow float64; rescale the features (CLI: --scale)"
 
 class DegenerateDataWarning(UserWarning):
     """All rows identical: scores carry no ranking information."""
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """Vector of n real anomaly scores; `normalized` asserts values in [0, 1]."""
-
-    values: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise DataError(f"scores must be 1-d, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DataError("scores contain non-finite values")
-        if self.normalized and v.size and (v.min() < 0.0 or v.max() > 1.0):
-            raise DataError("normalized scores must lie in [0, 1]")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 class DetectorKind(enum.Enum):
@@ -91,10 +70,6 @@ def minmax_values(x: np.ndarray) -> np.ndarray:
     if hi == lo:
         return np.full_like(x, 0.5)
     return (x - lo) / (hi - lo)
-
-
-def minmax_scale(v: ScoreVector) -> ScoreVector:
-    return ScoreVector(minmax_values(v.values), normalized=True)
 
 
 def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +153,7 @@ def _iso_tree_depths(
 
 def fit_score_iforest(
     ds: Dataset, trees: int = 100, subsample: int = 256, seed: int = 0
-) -> ScoreVector:
+) -> np.ndarray:
     """Isolation forest: score = 2^(-E[path length] / c(m)).
 
     Each tree is grown on a without-replacement subsample of min(subsample, n)
@@ -202,14 +177,14 @@ def fit_score_iforest(
         rows = stream.permutation(n)[:m]
         _iso_tree_depths(X, X[rows], np.arange(n), 0, limit, stream, total)
     expected = total / trees
-    return ScoreVector(np.power(2.0, -expected / _avg_path_length(m)))
+    return np.power(2.0, -expected / _avg_path_length(m))
 
 
 # ---------------------------------------------------------------------------
 # histogram-based outlier score
 
 
-def fit_score_hbos(ds: Dataset, bins: int = 10) -> ScoreVector:
+def fit_score_hbos(ds: Dataset, bins: int = 10) -> np.ndarray:
     """Sum over features of -log(relative bin frequency) with equal-width bins.
 
     Bins span [min, max] per feature; empty-bin densities are floored at
@@ -232,37 +207,37 @@ def fit_score_hbos(ds: Dataset, bins: int = 10) -> ScoreVector:
         density = np.bincount(idx, minlength=bins) / n
         density = np.maximum(density, floor)
         scores -= np.log(density[idx])
-    return ScoreVector(scores)
+    return scores
 
 
 # ---------------------------------------------------------------------------
 # local outlier factor
 
 
-def fit_score_lof(ds: Dataset, k: int = 20) -> ScoreVector:
+def fit_score_lof(ds: Dataset, k: int = 20) -> np.ndarray:
     """Classic LOF over exactly k neighbors (exact KD-tree search), reachability floored at 1e-12."""
     dist, neighbors = _neighbors(ds.features, k)
     k_dist = dist[:, k - 1]
     reach = np.maximum(k_dist[neighbors], dist)
     reach = np.maximum(reach, LOF_DISTANCE_FLOOR)
     lrd = 1.0 / reach.mean(axis=1)
-    return ScoreVector(lrd[neighbors].mean(axis=1) / lrd)
+    return lrd[neighbors].mean(axis=1) / lrd
 
 
 # ---------------------------------------------------------------------------
 # k-nearest-neighbor distance
 
 
-def fit_score_knn(ds: Dataset, k: int = 5) -> ScoreVector:
+def fit_score_knn(ds: Dataset, k: int = 5) -> np.ndarray:
     """Euclidean distance to the k-th nearest neighbor, self excluded (exact KD-tree search)."""
-    return ScoreVector(_neighbors(ds.features, k)[0][:, k - 1])
+    return _neighbors(ds.features, k)[0][:, k - 1]
 
 
 # ---------------------------------------------------------------------------
 # PCA reconstruction error
 
 
-def fit_score_pca(ds: Dataset, components: int | None = None) -> ScoreVector:
+def fit_score_pca(ds: Dataset, components: int | None = None) -> np.ndarray:
     """Squared reconstruction error after projecting onto top principal axes."""
     X = ds.features
     n, d = X.shape
@@ -280,19 +255,19 @@ def fit_score_pca(ds: Dataset, components: int | None = None) -> ScoreVector:
     _, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
     top = vecs[:, d - components :]
     residual = centered - (centered @ top) @ top.T
-    return ScoreVector((residual * residual).sum(axis=1))
+    return (residual * residual).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # plumbing
 
 
-def import_scores(path: str | Path, n_expected: int) -> ScoreVector:
+def import_scores(path: str | Path, n_expected: int) -> np.ndarray:
     """Read one score per line (single-column CSV with a header also accepted)."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
+    lines = [ln.strip() for ln in read_text(path).splitlines()]
     lines = [ln for ln in lines if ln]
     values = []
     for i, line in enumerate(lines):
@@ -307,27 +282,31 @@ def import_scores(path: str | Path, n_expected: int) -> ScoreVector:
         values.append(v)
     if len(values) != n_expected:
         raise DataError(f"{path}: expected {n_expected} scores, found {len(values)}")
-    return ScoreVector(np.array(values, dtype=np.float64))
+    return np.array(values, dtype=np.float64)
 
 
-def save_scores(v: ScoreVector, path: str | Path) -> None:
+def save_scores(v: np.ndarray, path: str | Path) -> None:
     """Write one decimal score per line, row order preserved."""
     with open(path, "w", encoding="utf-8") as fh:
-        for value in v.values:
+        for value in v:
             fh.write(f"{float(value)!r}\n")
 
 
-def fit_score(ds: Dataset, params: DetectorParams) -> ScoreVector:
-    """Dispatch to the named detector with per-kind default settings."""
+def fit_score(ds: Dataset, params: DetectorParams) -> np.ndarray:
+    """Dispatch to the named detector with per-kind default settings; scores must be finite."""
     kind = params.kind
     if kind is DetectorKind.IFOREST:
-        return fit_score_iforest(ds, params.trees, params.subsample, params.seed)
-    if kind is DetectorKind.HBOS:
-        return fit_score_hbos(ds, params.bins)
-    if kind is DetectorKind.LOF:
-        return fit_score_lof(ds, params.k if params.k is not None else 20)
-    if kind is DetectorKind.KNN:
-        return fit_score_knn(ds, params.k if params.k is not None else 5)
-    if kind is DetectorKind.PCA:
-        return fit_score_pca(ds, params.components)
-    raise DataError(f"unknown detector kind: {kind!r}")
+        scores = fit_score_iforest(ds, params.trees, params.subsample, params.seed)
+    elif kind is DetectorKind.HBOS:
+        scores = fit_score_hbos(ds, params.bins)
+    elif kind is DetectorKind.LOF:
+        scores = fit_score_lof(ds, params.k if params.k is not None else 20)
+    elif kind is DetectorKind.KNN:
+        scores = fit_score_knn(ds, params.k if params.k is not None else 5)
+    elif kind is DetectorKind.PCA:
+        scores = fit_score_pca(ds, params.components)
+    else:
+        raise DataError(f"unknown detector kind: {kind!r}")
+    if not np.all(np.isfinite(scores)):
+        raise DataError("scores contain non-finite values")
+    return scores

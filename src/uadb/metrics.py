@@ -20,7 +20,7 @@ class VacuousCorrectionWarning(UserWarning):
 
 
 def _values(scores) -> np.ndarray:
-    v = np.asarray(getattr(scores, "values", scores), dtype=np.float64)
+    v = np.asarray(scores, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"scores must be 1-d, got shape {v.shape}")
     return v

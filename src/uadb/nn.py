@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detectors import ScoreVector
 from .rng import Stream, derive
 
 # output clamp: keeps forward inside the open interval and log-losses finite
@@ -85,10 +84,6 @@ class MlpModel:
         views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
         self.weights, self.biases = views[0::2], views[1::2]
 
-    @property
-    def n_params(self) -> int:
-        return self.theta.size
-
     def copy(self) -> "MlpModel":
         return MlpModel(self.theta.copy(), self.d, self.hidden)
 
@@ -144,12 +139,22 @@ def _forward_trace(m: MlpModel, X: np.ndarray):
     return z1, a1, z2, a2, p
 
 
-def forward(m: MlpModel, X: np.ndarray) -> ScoreVector:
+def forward(m: MlpModel, X: np.ndarray) -> np.ndarray:
     """Score each row; output strictly inside (0, 1)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.d:
         raise ValueError(f"expected shape (n, {m.d}), got {X.shape}")
-    return ScoreVector(_forward_trace(m, X)[-1][:, 0], normalized=True)
+    return _forward_trace(m, X)[-1][:, 0]
+
+
+def _unit_targets(y, what: str) -> np.ndarray:
+    """y as a 1-d float64 array with every entry in [0, 1] (NaN fails)."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1:
+        raise ValueError(f"{what} must be 1-d, got shape {y.shape}")
+    if not np.all((y >= 0.0) & (y <= 1.0)):
+        raise ValueError(f"{what} must lie in [0, 1]")
+    return y
 
 
 def _loss(m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss) -> float:
@@ -180,21 +185,20 @@ def _grads(m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss) -> np.ndarray:
     return np.concatenate([g.ravel() for g in (gW1, gb1, gW2, gb2, gW3, gb3)])
 
 
-def train(m: MlpModel, X: np.ndarray, y: ScoreVector, spec: TrainSpec) -> MlpModel:
+def train(m: MlpModel, X: np.ndarray, y: np.ndarray, spec: TrainSpec) -> MlpModel:
     """Run epochs of shuffled mini-batch adaptive-moment steps; returns a new model.
 
-    Optimizer moment state starts fresh at every call. The input model is
-    not modified, so callers can chain calls to continue training.
+    y holds one soft target in [0, 1] per row of X. Optimizer moment state
+    starts fresh at every call. The input model is not modified, so callers
+    can chain calls to continue training.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.d:
         raise ValueError(f"expected shape (n, {m.d}), got {X.shape}")
-    if not y.normalized:
-        raise ValueError("training targets must be normalized to [0, 1]")
     n = X.shape[0]
-    if len(y) != n:
-        raise ValueError(f"target length {len(y)} != row count {n}")
-    yv = y.values
+    yv = _unit_targets(y, "training targets")
+    if yv.size != n:
+        raise ValueError(f"target length {yv.size} != row count {n}")
 
     out = m.copy()
     moment1 = np.zeros_like(out.theta)
@@ -218,7 +222,7 @@ def train(m: MlpModel, X: np.ndarray, y: ScoreVector, spec: TrainSpec) -> MlpMod
 
 
 def gradient_check(
-    m: MlpModel, X: np.ndarray, y: ScoreVector, loss: Loss = Loss.CROSS_ENTROPY
+    m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss = Loss.CROSS_ENTROPY
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -226,7 +230,7 @@ def gradient_check(
     parameter with step 1e-5.
     """
     X = np.asarray(X, dtype=np.float64)
-    yv = y.values
+    yv = np.asarray(y, dtype=np.float64)
     h = 1e-5
     worst = 0.0
     probe = m.copy()

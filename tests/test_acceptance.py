@@ -17,7 +17,6 @@ from uadb import (
     DetectorKind,
     DetectorParams,
     Loss,
-    ScoreVector,
     Strategy,
     SyntheticKind,
     TrainSpec,
@@ -58,10 +57,6 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _norm(values) -> ScoreVector:
-    return ScoreVector(np.asarray(values, dtype=np.float64), normalized=True)
-
-
 # ---------------------------------------------------------------------------
 # 1. gap-narrowing law
 
@@ -78,21 +73,21 @@ def test_criterion_1_gap_narrowing_law():
         v_l = u[2] * 0.45
         delta = 0.01 + u[3] * 0.04  # v_h - v_l, bounded away from 0
         v_h = v_l + delta
-        y = _norm([1.0, y_fp, y_fn, 0.0])
+        y = np.array([1.0, y_fp, y_fn, 0.0])
         v = np.array([v_h, v_l, v_h, v_l])
 
-        out = update_pseudo_labels(y, v).values
+        out = update_pseudo_labels(y, v)
         got_gap = out[1] - out[2]
         expected = (y_fp - y_fn - delta) / (1.0 + delta)
         worst_err = max(worst_err, abs(got_gap - expected))
         assert got_gap < y_fp - y_fn  # strict narrowing
 
-        cur = _norm(out)
+        cur = out
         steps = 1
-        while cur.values[1] - cur.values[2] > 0.0 and steps < 200:
+        while cur[1] - cur[2] > 0.0 and steps < 200:
             cur = update_pseudo_labels(cur, v)
             steps += 1
-        assert cur.values[2] >= cur.values[1]  # FN caught up with FP
+        assert cur[2] >= cur[1]  # FN caught up with FP
         worst_steps = max(worst_steps, steps)
     elapsed = time.monotonic() - start
     ok = worst_err <= 1e-12 and worst_steps <= 200 and elapsed < 1.0
@@ -162,7 +157,7 @@ def test_criterion_3_gradient_check():
         m = init_mlp(d, seed=3000 + i, hidden=16 + i % 4)
         stream = Stream(4000 + i)
         X = stream.normal(5 * d).reshape(5, d)
-        y = _norm(stream.uniform(5))
+        y = stream.uniform(5)
         loss = Loss.SQUARED_ERROR if i % 2 == 0 else Loss.CROSS_ENTROPY
         worst = max(worst, gradient_check(m, X, y, loss))
     elapsed = time.monotonic() - start
@@ -178,7 +173,7 @@ def test_criterion_4_knn_and_variance_oracles():
     worst_knn = 0.0
     for seed, n, d, k in [(1, 200, 3, 7), (2, 120, 2, 1), (3, 50, 5, 12)]:
         X = Stream(seed).normal(n * d).reshape(n, d)
-        got = fit_score_knn(Dataset(features=X), k=k).values
+        got = fit_score_knn(Dataset(features=X), k=k)
         oracle = np.empty(n)
         for i in range(n):
             dist = np.sqrt(((X - X[i]) ** 2).sum(axis=1))

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from uadb import (
     BoosterConfig,
+    DataError,
     Dataset,
     DetectorKind,
     DetectorParams,
     InputConditioner,
-    ScoreVector,
     Strategy,
     SyntheticKind,
     TrainSpec,
@@ -24,6 +24,7 @@ from uadb import (
     correction_trace,
     fit_score,
     generate_synthetic,
+    minmax_values,
     per_instance_variance,
     run_booster,
     score_points,
@@ -40,10 +41,6 @@ def _oracle_two_pass_variance(matrix: np.ndarray) -> np.ndarray:
         mu = sum(row) / len(row)
         out[i] = sum((x - mu) ** 2 for x in row) / len(row)
     return out
-
-
-def _norm(values) -> ScoreVector:
-    return ScoreVector(np.asarray(values, dtype=np.float64), normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +88,16 @@ def test_variance_length_mismatch():
 
 
 def test_update_identity_when_variance_zero():
-    y = _norm([0.0, 0.3, 1.0])
+    y = np.array([0.0, 0.3, 1.0])
     out = update_pseudo_labels(y, np.zeros(3))
-    assert np.array_equal(out.values, y.values)
+    assert np.array_equal(out, y)
 
 
 def test_update_case_fixture_exact():
     """TP,FP,FN,TN = [1,1,0,0] with v = [0.2,0.05,0.2,0.05]: the affine map
     is (x - 0.05)/1.15, so FP drops below 1 and FN rises above 0."""
-    y = _norm([1.0, 1.0, 0.0, 0.0])
-    out = update_pseudo_labels(y, np.array([0.2, 0.05, 0.2, 0.05])).values
+    y = np.array([1.0, 1.0, 0.0, 0.0])
+    out = update_pseudo_labels(y, np.array([0.2, 0.05, 0.2, 0.05]))
     expected = (np.array([1.2, 1.05, 0.2, 0.05]) - 0.05) / 1.15
     np.testing.assert_allclose(out, expected, atol=1e-15)
     s_tp, s_fp, s_fn, s_tn = out
@@ -109,12 +106,12 @@ def test_update_case_fixture_exact():
 
 
 def test_update_iteration_narrows_gap_monotonically():
-    y = _norm([1.0, 1.0, 0.0, 0.0])
+    y = np.array([1.0, 1.0, 0.0, 0.0])
     v = np.array([0.2, 0.05, 0.2, 0.05])
     gap = 1.0
     for _ in range(40):
         y = update_pseudo_labels(y, v)
-        s_tp, s_fp, s_fn, s_tn = y.values
+        s_tp, s_fp, s_fn, s_tn = y
         assert s_tp == 1.0 and s_tn == 0.0  # extremes stay anchored
         if gap <= 0.0:
             break
@@ -124,19 +121,22 @@ def test_update_iteration_narrows_gap_monotonically():
 
 
 def test_update_validation():
+    for bad in (2.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match=r"pseudo labels must lie in \[0, 1\]"):
+            update_pseudo_labels(np.array([0.5, bad]), np.zeros(2))
+    with pytest.raises(ValueError, match="pseudo labels must be 1-d"):
+        update_pseudo_labels(np.full((2, 1), 0.5), np.zeros(2))
     with pytest.raises(ValueError):
-        update_pseudo_labels(ScoreVector(np.array([0.5, 2.0])), np.zeros(2))
-    with pytest.raises(ValueError):
-        update_pseudo_labels(_norm([0.5, 0.5]), np.zeros(3))
+        update_pseudo_labels(np.array([0.5, 0.5]), np.zeros(3))
 
 
 def test_variance_vector_validation():
-    assert len(update_pseudo_labels(_norm([0.5, 0.5]), np.array([0.0, 0.2]))) == 2
+    assert len(update_pseudo_labels(np.array([0.5, 0.5]), np.array([0.0, 0.2]))) == 2
     with pytest.raises(ValueError):
-        update_pseudo_labels(_norm([0.5, 0.5]), np.zeros((2, 1)))
+        update_pseudo_labels(np.array([0.5, 0.5]), np.zeros((2, 1)))
     for bad in (-0.1, np.nan, np.inf):  # variances must be finite and non-negative
         with pytest.raises(ValueError):
-            update_pseudo_labels(_norm([0.5, 0.5]), np.array([0.0, bad]))
+            update_pseudo_labels(np.array([0.5, 0.5]), np.array([0.0, bad]))
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +173,13 @@ def test_history_first_column_is_normalized_teacher():
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=1)
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
     res = run_booster(ds, teacher, BoosterConfig(T=2, fold_count=2))
-    from uadb import minmax_scale
-
     hist = res.label_history
     assert hist.dtype == np.float64
-    assert np.array_equal(hist[:, 0], minmax_scale(teacher).values)
+    assert np.array_equal(hist[:, 0], minmax_values(teacher))
     assert hist.min() >= 0.0 and hist.max() <= 1.0
-    assert res.final_scores.normalized
+    final = res.final_scores
+    assert final.dtype == np.float64 and final.shape == (30,)
+    assert final.min() == 0.0 and final.max() == 1.0
 
 
 @pytest.mark.parametrize(
@@ -214,7 +214,7 @@ def test_run_booster_deterministic():
     cfg = BoosterConfig(T=3, seed=4, train=TrainSpec(seed=4))
     a = run_booster(ds, teacher, cfg)
     b = run_booster(ds, teacher, cfg)
-    assert np.array_equal(a.final_scores.values, b.final_scores.values)
+    assert np.array_equal(a.final_scores, b.final_scores)
     assert np.array_equal(a.label_history, b.label_history)
     assert np.array_equal(a.variance_history, b.variance_history)
 
@@ -224,18 +224,36 @@ def test_run_booster_seed_changes_result():
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.LOF, k=10))
     a = run_booster(ds, teacher, BoosterConfig(T=2, seed=1))
     b = run_booster(ds, teacher, BoosterConfig(T=2, seed=2))
-    assert not np.array_equal(a.final_scores.values, b.final_scores.values)
+    assert not np.array_equal(a.final_scores, b.final_scores)
 
 
 def test_run_booster_length_check():
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=0)
-    with pytest.raises(ValueError):
-        run_booster(ds, ScoreVector(np.zeros(29)), BoosterConfig(T=1))
+    for bad in (np.zeros(29), np.zeros((30, 1)), np.zeros((1, 30))):
+        with pytest.raises(ValueError, match=r"teacher must have shape \(30,\)"):
+            run_booster(ds, bad, BoosterConfig(T=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_booster_rejects_non_finite_teacher(bad):
+    ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=0)
+    teacher = np.linspace(0.0, 1.0, 30)
+    teacher[7] = bad
+    with pytest.raises(DataError, match="teacher scores contain non-finite values"):
+        run_booster(ds, teacher, BoosterConfig(T=1))
+
+
+def test_run_booster_accepts_list_teacher():
+    ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=0)
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
+    cfg = BoosterConfig(T=2, fold_count=2)
+    from_list = run_booster(ds, teacher.tolist(), cfg)
+    assert np.array_equal(from_list.final_scores, run_booster(ds, teacher, cfg).final_scores)
 
 
 def test_constant_teacher_degenerates_to_half():
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=5)
-    teacher = ScoreVector(np.full(30, 3.7))
+    teacher = np.full(30, 3.7)
     res = run_booster(ds, teacher, BoosterConfig(T=1, fold_count=1))
     assert np.all(res.label_history[:, 0] == 0.5)
 
@@ -310,7 +328,7 @@ def test_conditioner_sparse_binary_features_stay_bounded():
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.HBOS))
     res = run_booster(ds, teacher, BoosterConfig())
     distinct_rows = np.unique(X, axis=0, return_inverse=True)[1].ravel()
-    per_row = {float(res.final_scores.values[distinct_rows == r][0]) for r in range(4)}
+    per_row = {float(res.final_scores[distinct_rows == r][0]) for r in range(4)}
     assert len(per_row) == 4
 
 
@@ -325,25 +343,13 @@ def test_score_points_uses_training_transform(clustered_default_run):
     assert s[1] > s[0]
 
 
-def test_score_points_requires_models():
-    from uadb.booster import BoosterResult
-
-    empty = BoosterResult(
-        final_scores=_norm([0.5, 0.5]),
-        label_history=np.full((2, 1), 0.5),
-        variance_history=np.empty((2, 0)),
-    )
-    with pytest.raises(ValueError):
-        score_points(empty, np.zeros((1, 2)))
-
-
 # ---------------------------------------------------------------------------
 # case bookkeeping
 
 
 def test_classify_cases_partition():
     labels = np.array([1, 1, 0, 0, 0])
-    teacher = _norm([0.9, 0.1, 0.8, 0.2, 0.0])
+    teacher = np.array([0.9, 0.1, 0.8, 0.2, 0.0])
     cases = classify_cases(teacher, labels)
     assert sorted(np.concatenate(list(cases.values())).tolist()) == [0, 1, 2, 3, 4]
     assert cases["TP"].tolist() == [0]
@@ -354,7 +360,7 @@ def test_classify_cases_partition():
 
 def test_classify_cases_perfect_teacher_drops_empty_cases():
     labels = np.array([1, 0, 0])
-    teacher = _norm([1.0, 0.2, 0.0])
+    teacher = np.array([1.0, 0.2, 0.0])
     cases = classify_cases(teacher, labels)
     assert set(cases) == {"TP", "TN"}
 
@@ -404,7 +410,7 @@ def _hard_features(draw) -> np.ndarray:
     return X * draw(st.sampled_from([1.0, 1e75, 1e150]))
 
 
-def _finite_and_repeatable(call) -> ScoreVector | None:
+def _finite_and_repeatable(call) -> np.ndarray | None:
     """Run call twice: the same finite scores both times, or the same clear ValueError (None)."""
     outcomes = []
     for _ in range(2):
@@ -417,7 +423,7 @@ def _finite_and_repeatable(call) -> ScoreVector | None:
     if isinstance(first, tuple):
         assert first == second
         return None
-    assert np.all(np.isfinite(first.values)) and np.array_equal(first.values, second.values)
+    assert np.all(np.isfinite(first)) and np.array_equal(first, second)
     return first
 
 

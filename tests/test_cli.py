@@ -116,6 +116,16 @@ def test_detect_bad_csv_is_data_error_naming_file(tmp_path, capsys, content):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--teacher-scores", "--config"], ids=["teacher-scores", "config"])
+def test_non_utf8_input_is_data_error_naming_file(clustered_csv, tmp_path, capsys, flag):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff0.5\n")
+    assert main(["boost", "--data", str(clustered_csv), flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # boost
 
@@ -166,17 +176,18 @@ def test_boost_external_teacher_scores(clustered_csv, tmp_path):
     )
     assert rc == 0
     rep = tmp_path / "ext-boost.json"
-    rc = main(
-        [
-            "boost",
-            "--data", str(clustered_csv),
-            "--label-column", "label",
-            "--teacher-scores", str(ext),
-            "--iterations", "2",
-            "--folds", "2",
-            "--report", str(rep),
-        ]
-    )
+    with pytest.warns(uadb.VacuousCorrectionWarning):  # the teacher makes no thresholded errors
+        rc = main(
+            [
+                "boost",
+                "--data", str(clustered_csv),
+                "--label-column", "label",
+                "--teacher-scores", str(ext),
+                "--iterations", "2",
+                "--folds", "2",
+                "--report", str(rep),
+            ]
+        )
     assert rc == 0
     assert json.loads(rep.read_text())["runs"][0]["teacher"]["aucroc"] > 0.0
 
@@ -230,24 +241,45 @@ def test_boost_grid_export(tmp_path):
     csv = tmp_path / "small.csv"
     assert main(["synth", "--kind", "global", "--n", "40", "--seed", "2", "--out", str(csv)]) == 0
     grid = tmp_path / "grid.csv"
-    rc = main(
-        [
-            "boost",
-            "--data", str(csv),
-            "--label-column", "label",
-            "--teacher", "knn",
-            "--iterations", "1",
-            "--folds", "1",
-            "--grid-out", str(grid),
-            "--grid-size", "5",
-        ]
-    )
+    with pytest.warns(uadb.VacuousCorrectionWarning):  # the teacher makes no thresholded errors
+        rc = main(
+            [
+                "boost",
+                "--data", str(csv),
+                "--label-column", "label",
+                "--teacher", "knn",
+                "--iterations", "1",
+                "--folds", "1",
+                "--grid-out", str(grid),
+                "--grid-size", "5",
+            ]
+        )
     assert rc == 0
     rows = grid.read_text().splitlines()
     assert rows[0] == "x1,x2,score"
     assert len(rows) == 1 + 25
     scores = [float(r.split(",")[2]) for r in rows[1:]]
     assert all(0.0 <= s <= 1.0 for s in scores)
+
+
+@pytest.mark.parametrize(
+    "d,grid_size,code", [(2, "1", 2), (3, "5", 1)], ids=["grid-size-1", "three-features"]
+)
+def test_boost_grid_checks_run_before_training(tmp_path, capsys, d, grid_size, code):
+    csv = tmp_path / "data.csv"
+    uadb.save_csv(uadb.Dataset(features=Stream(3).normal(40 * d).reshape(40, d)), csv)
+    outputs = {
+        "--scores-out": tmp_path / "scores.txt",
+        "--history-out": tmp_path / "history.csv",
+        "--grid-out": tmp_path / "grid.csv",
+        "--report": tmp_path / "report.json",
+    }
+    args = ["boost", "--data", str(csv), "--teacher", "hbos", "--iterations", "1", "--grid-size", grid_size]
+    for flag, path in outputs.items():
+        args += [flag, str(path)]
+    assert main(args) == code
+    assert ("need grid_size >= 2" if code == 2 else "grid export needs d=2 data") in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +403,27 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
     assert json.loads(rep.read_text())["config"]["seed"] == 9
 
 
-def _run_console(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str) -> subprocess.CompletedProcess:
     # the child must find the same uadb the tests import, installed or not
     src = str(Path(uadb.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "uadb.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def _run_console(*args: str) -> subprocess.CompletedProcess:
+    return _run_python("-m", "uadb.cli", *args)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # a cold `import uadb.cli` stays fast and small only while nothing imports scipy.stats
+    proc = _run_python("-c", "import sys, uadb.cli; print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_console_entry_point_runs():

@@ -80,6 +80,15 @@ def test_load_csv_rejects_bad_label_and_missing_file(tmp_path):
         load_csv(empty)
 
 
+def test_load_csv_non_utf8_names_file_offset(tmp_path):
+    # the offset counts from the start of the file, past the first read buffer
+    path = tmp_path / "bad.csv"
+    body = b"a,b\n" + b"1.0,2.0\n" * 3000
+    path.write_bytes(body + b"1.0,\xff\n")
+    with pytest.raises(DataError, match=f"{path.name}: not UTF-8 text .* at byte {len(body) + 4}\\)"):
+        load_csv(path)
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=40, seed=3)
     path = tmp_path / "round.csv"
@@ -134,7 +143,6 @@ def test_clustered_counts():
     assert ds.n == 300
     assert ds.n_anomalies == 45
     assert int((ds.labels == 0).sum()) == 255
-    assert ds.anomaly_rate == 0.15
 
 
 def test_global_bounds():

@@ -17,7 +17,6 @@ from uadb import (
     DegenerateDataWarning,
     DetectorKind,
     DetectorParams,
-    ScoreVector,
     Strategy,
     SyntheticKind,
     aucroc,
@@ -29,7 +28,6 @@ from uadb import (
     fit_score_pca,
     generate_synthetic,
     import_scores,
-    minmax_scale,
     minmax_values,
     run_booster,
     save_scores,
@@ -170,17 +168,7 @@ def _random_points(seed: int, n: int, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ScoreVector / minmax plumbing
-
-
-def test_score_vector_validation():
-    with pytest.raises(DataError):
-        ScoreVector(np.array([[1.0]]))
-    with pytest.raises(DataError):
-        ScoreVector(np.array([1.0, np.inf]))
-    with pytest.raises(DataError):
-        ScoreVector(np.array([0.5, 1.5]), normalized=True)
-    assert len(ScoreVector(np.array([0.1, 0.9]), normalized=True)) == 2
+# minmax plumbing
 
 
 def test_minmax_values_examples():
@@ -196,25 +184,20 @@ def test_minmax_preserves_pairwise_order(values):
     assert np.all(np.diff(out[order]) >= 0.0)
 
 
-def test_minmax_scale_sets_flag():
-    v = minmax_scale(ScoreVector(np.array([3.0, 9.0])))
-    assert v.normalized and v.values.tolist() == [0.0, 1.0]
-
-
 # ---------------------------------------------------------------------------
 # isolation forest
 
 
 def test_iforest_separates_clustered_anomalies():
     ds = generate_synthetic(SyntheticKind.CLUSTERED, seed=1)
-    s = fit_score_iforest(ds, seed=1).values
+    s = fit_score_iforest(ds, seed=1)
     assert s[ds.labels == 1].mean() > s[ds.labels == 0].mean()
 
 
 def test_iforest_identical_rows_all_equal():
     ds = Dataset(features=np.tile([[1.0, 2.0]], (4, 1)))
     with pytest.warns(DegenerateDataWarning):
-        s = fit_score_iforest(ds, trees=5).values
+        s = fit_score_iforest(ds, trees=5)
     assert np.all(s == s[0])
 
 
@@ -222,7 +205,7 @@ def test_iforest_subsample_clamped_to_n():
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=50, seed=4)
     big = fit_score_iforest(ds, trees=10, subsample=256, seed=0)
     exact = fit_score_iforest(ds, trees=10, subsample=50, seed=0)
-    assert np.array_equal(big.values, exact.values)
+    assert np.array_equal(big, exact)
 
 
 def test_iforest_matches_build_then_descend_oracle():
@@ -237,7 +220,7 @@ def test_iforest_matches_build_then_descend_oracle():
                 for subsample in (2, 64, 256):
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", DegenerateDataWarning)
-                        got = fit_score_iforest(ds, trees=3, subsample=subsample, seed=n).values
+                        got = fit_score_iforest(ds, trees=3, subsample=subsample, seed=n)
                     assert np.array_equal(got, _oracle_iforest(features, 3, subsample, n))
 
 
@@ -245,7 +228,7 @@ def test_iforest_deterministic_and_validated():
     ds = generate_synthetic(SyntheticKind.LOCAL, n=40, seed=2)
     a = fit_score_iforest(ds, trees=20, seed=7)
     b = fit_score_iforest(ds, trees=20, seed=7)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     with pytest.raises(DataError):
         fit_score_iforest(ds, trees=0)
     with pytest.raises(DataError):
@@ -260,30 +243,30 @@ def test_hbos_flat_histogram_scores_equal():
     # 20 points spread evenly over 10 bins: every bin holds 2 points
     col = np.linspace(0.0, 1.0, 21)[:-1] + 0.025
     ds = Dataset(features=col[:, None])
-    s = fit_score_hbos(ds, bins=10).values
+    s = fit_score_hbos(ds, bins=10)
     np.testing.assert_allclose(s, s[0], atol=1e-12)
 
 
 def test_hbos_sparse_bin_scores_higher():
     col = np.array([0.0, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 5.0])
     ds = Dataset(features=col[:, None])
-    s = fit_score_hbos(ds, bins=5).values
+    s = fit_score_hbos(ds, bins=5)
     assert s[-1] > s[1:7].max()  # lone far point sits in a sparse bin
 
 
 def test_hbos_duplicate_feature_doubles_scores():
     col = np.array([0.0, 1.0, 1.5, 2.0, 9.0])
-    one = fit_score_hbos(Dataset(features=col[:, None]), bins=4).values
-    two = fit_score_hbos(Dataset(features=np.column_stack([col, col])), bins=4).values
+    one = fit_score_hbos(Dataset(features=col[:, None]), bins=4)
+    two = fit_score_hbos(Dataset(features=np.column_stack([col, col])), bins=4)
     np.testing.assert_allclose(two, 2.0 * one, rtol=1e-15)
 
 
 def test_hbos_constant_feature_contributes_zero():
     col = np.array([0.0, 1.0, 2.0, 9.0])
-    base = fit_score_hbos(Dataset(features=col[:, None]), bins=4).values
+    base = fit_score_hbos(Dataset(features=col[:, None]), bins=4)
     padded = fit_score_hbos(
         Dataset(features=np.column_stack([col, np.ones_like(col)])), bins=4
-    ).values
+    )
     assert np.array_equal(base, padded)
 
 
@@ -295,7 +278,7 @@ def test_lof_uniform_grid_interior_near_one():
     side = 7
     grid = np.array([[i, j] for i in range(side) for j in range(side)], dtype=float)
     k = 4
-    got = fit_score_lof(Dataset(features=grid), k=k).values
+    got = fit_score_lof(Dataset(features=grid), k=k)
     center = side * (side // 2) + side // 2
     assert 0.9 <= got[center] <= 1.1
     oracle = _oracle_lof(grid, k)
@@ -305,13 +288,13 @@ def test_lof_uniform_grid_interior_near_one():
 def test_lof_matches_oracle_on_random_data():
     for seed, n, k in [(0, 12, 3), (1, 25, 5), (2, 40, 7)]:
         X = _random_points(seed, n, 2)
-        got = fit_score_lof(Dataset(features=X), k=k).values
+        got = fit_score_lof(Dataset(features=X), k=k)
         np.testing.assert_allclose(got, _oracle_lof(X, k), rtol=1e-10)
 
 
 def test_lof_handles_duplicate_points():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-    s = fit_score_lof(Dataset(features=X), k=2).values
+    s = fit_score_lof(Dataset(features=X), k=2)
     assert np.all(np.isfinite(s))
 
 
@@ -336,20 +319,20 @@ def test_lof_k_validation():
 
 def test_knn_collinear_equidistant_points():
     X = np.array([[0.0], [1.0], [2.0]])
-    s = fit_score_knn(Dataset(features=X), k=1).values
+    s = fit_score_knn(Dataset(features=X), k=1)
     assert s.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_knn_isolated_point_scores_highest():
     X = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [8.0, 8.0]])
-    s = fit_score_knn(Dataset(features=X), k=2).values
+    s = fit_score_knn(Dataset(features=X), k=2)
     assert s.argmax() == 3
 
 
 def test_knn_matches_oracle():
     for seed, n, k in [(3, 30, 1), (4, 120, 5), (5, 200, 9)]:
         X = _random_points(seed, n, 3)
-        got = fit_score_knn(Dataset(features=X), k=k).values
+        got = fit_score_knn(Dataset(features=X), k=k)
         assert np.array_equal(got, _oracle_knn(X, k))
 
 
@@ -403,7 +386,7 @@ def test_neighbor_blocks_split_anywhere_same_bits(monkeypatch):
 
     def scores(A, k):
         ds = Dataset(features=A)
-        return fit_score_lof(ds, k=k).values, fit_score_knn(ds, k=k).values
+        return fit_score_lof(ds, k=k), fit_score_knn(ds, k=k)
 
     want = [scores(A, k) for A, k in runs]
     queries = []
@@ -436,8 +419,8 @@ def test_neighbors_tied_kth_boundary_match_oracles():
     cases += [(np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]]), k) for k in (1, 2)]
     for X, k in cases:
         ds = Dataset(features=X)
-        np.testing.assert_allclose(fit_score_lof(ds, k=k).values, _oracle_lof(X, k), rtol=1e-10)
-        assert np.array_equal(fit_score_knn(ds, k=k).values, _oracle_knn(X, k))
+        np.testing.assert_allclose(fit_score_lof(ds, k=k), _oracle_lof(X, k), rtol=1e-10)
+        assert np.array_equal(fit_score_knn(ds, k=k), _oracle_knn(X, k))
 
 
 def test_neighbor_distance_overflow_is_clear_error():
@@ -455,8 +438,8 @@ def test_neighbor_distance_overflow_is_clear_error():
             run_booster(huge, teacher, BoosterConfig(T=1, strategy=strategy))
     # an overflowing distance beyond the k-th neighbor is harmless
     pairs = Dataset(features=np.array([[0.0], [1.0], [1e160], [1.000000000000001e160]]))
-    assert np.all(np.isfinite(fit_score_lof(pairs, k=1).values))
-    assert np.all(np.isfinite(fit_score_knn(pairs, k=1).values))
+    assert np.all(np.isfinite(fit_score_lof(pairs, k=1)))
+    assert np.all(np.isfinite(fit_score_knn(pairs, k=1)))
 
 
 def test_lof_peak_memory_bounded():
@@ -474,7 +457,7 @@ def test_neighbor_tie_next_to_overflow_matches_oracles():
     # row 0 ties rows 1 and 2 at distance 1; every distance to a 1e160 row overflows when squared
     X = np.array([[0.0], [1.0], [-1.0], [1e160], [1.0000000000001e160]])
     ds = Dataset(features=X)
-    lof, knn = fit_score_lof(ds, k=1).values, fit_score_knn(ds, k=1).values
+    lof, knn = fit_score_lof(ds, k=1), fit_score_knn(ds, k=1)
     assert np.all(np.isfinite(lof)) and np.all(np.isfinite(knn))
     got, want = detectors._neighbors(X, 1), _oracle_neighbors(X, 1)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -502,7 +485,7 @@ def test_lof_peak_memory_bounded_on_tied_binary():
 def test_pca_on_line_scores_zero():
     t = np.linspace(-2.0, 2.0, 15)
     X = np.column_stack([t, 3.0 * t])
-    s = fit_score_pca(Dataset(features=X), components=1).values
+    s = fit_score_pca(Dataset(features=X), components=1)
     assert np.all(s < 1e-10)
 
 
@@ -510,7 +493,7 @@ def test_pca_off_line_point_scores_positive():
     t = np.linspace(-2.0, 2.0, 15)
     X = np.column_stack([t, 3.0 * t])
     X[7] = [0.0, 2.0]  # knock one point off the line
-    s = fit_score_pca(Dataset(features=X), components=1).values
+    s = fit_score_pca(Dataset(features=X), components=1)
     assert s[7] > 1e-3
     assert s[7] == s.max()
 
@@ -518,7 +501,7 @@ def test_pca_off_line_point_scores_positive():
 def test_pca_matches_projector_oracle():
     for seed, n, d, c in [(6, 25, 3, 1), (7, 40, 5, 2), (8, 30, 4, 3)]:
         X = _random_points(seed, n, d)
-        got = fit_score_pca(Dataset(features=X), components=c).values
+        got = fit_score_pca(Dataset(features=X), components=c)
         np.testing.assert_allclose(got, _oracle_pca_residual(X, c), atol=1e-10)
 
 
@@ -537,10 +520,10 @@ def test_pca_validation():
 
 def test_import_scores_round_trip(tmp_path):
     path = tmp_path / "s.txt"
-    v = ScoreVector(np.array([0.25, 1.5, -3.0, 0.125, 7.0]))
+    v = np.array([0.25, 1.5, -3.0, 0.125, 7.0])
     save_scores(v, path)
     back = import_scores(path, 5)
-    assert np.array_equal(back.values, v.values)
+    assert np.array_equal(back, v)
 
 
 def test_import_scores_header_and_errors(tmp_path):
@@ -560,12 +543,20 @@ def test_import_scores_header_and_errors(tmp_path):
 def test_fit_score_dispatch_defaults():
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=60, seed=5)
     lof = fit_score(ds, DetectorParams(kind=DetectorKind.LOF))
-    assert np.array_equal(lof.values, fit_score_lof(ds, k=20).values)
+    assert np.array_equal(lof, fit_score_lof(ds, k=20))
     knn = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
-    assert np.array_equal(knn.values, fit_score_knn(ds, k=5).values)
+    assert np.array_equal(knn, fit_score_knn(ds, k=5))
     pca = fit_score(ds, DetectorParams(kind=DetectorKind.PCA))
-    assert np.array_equal(pca.values, fit_score_pca(ds, components=1).values)
+    assert np.array_equal(pca, fit_score_pca(ds, components=1))
     ifo = fit_score(ds, DetectorParams(kind=DetectorKind.IFOREST, seed=3))
-    assert np.array_equal(ifo.values, fit_score_iforest(ds, seed=3).values)
+    assert np.array_equal(ifo, fit_score_iforest(ds, seed=3))
     hb = fit_score(ds, DetectorParams(kind=DetectorKind.HBOS, bins=7))
-    assert np.array_equal(hb.values, fit_score_hbos(ds, bins=7).values)
+    assert np.array_equal(hb, fit_score_hbos(ds, bins=7))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_score_rejects_non_finite_scores(monkeypatch, bad):
+    ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=5)
+    monkeypatch.setattr(detectors, "fit_score_hbos", lambda ds, bins: np.full(ds.n, bad))
+    with pytest.raises(DataError, match="scores contain non-finite values"):
+        fit_score(ds, DetectorParams(kind=DetectorKind.HBOS))

@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import rankdata
 
 from uadb import (
-    ScoreVector,
     VacuousCorrectionWarning,
     aucroc,
     average_precision,
@@ -96,11 +95,6 @@ def test_aucroc_matches_pair_oracle():
 def test_aucroc_rejects_single_class():
     with pytest.raises(ValueError):
         aucroc(np.array([0.1, 0.2]), np.array([1, 1]))
-
-
-def test_aucroc_accepts_score_vector():
-    v = ScoreVector(np.array([0.9, 0.1]), normalized=True)
-    assert aucroc(v, np.array([1, 0])) == 1.0
 
 
 # ---------------------------------------------------------------------------

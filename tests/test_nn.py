@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from uadb import Loss, ScoreVector, TrainSpec, aucroc
+from uadb import Loss, TrainSpec, aucroc
 from uadb.nn import (
     MlpModel,
     _grads,
@@ -21,7 +21,7 @@ from uadb.rng import Stream, derive
 def _tiny_batch(seed: int, n: int = 6, d: int = 3):
     stream = Stream(seed)
     X = stream.normal(n * d).reshape(n, d)
-    y = ScoreVector(stream.uniform(n), normalized=True)
+    y = stream.uniform(n)
     return X, y
 
 
@@ -73,7 +73,7 @@ def test_init_validation():
 def test_model_metadata():
     m = init_mlp(3, seed=1, hidden=8)
     assert m.d == 3
-    assert m.n_params == 3 * 8 + 8 + 8 * 8 + 8 + 8 * 1 + 1
+    assert m.theta.size == 3 * 8 + 8 + 8 * 8 + 8 + 8 * 1 + 1
     c = m.copy()
     c.weights[0][0, 0] += 1.0
     assert m.weights[0][0, 0] != c.weights[0][0, 0]
@@ -82,14 +82,14 @@ def test_model_metadata():
 def test_weight_views_share_theta():
     m = init_mlp(3, seed=4, hidden=8)
     X = Stream(5).normal(18).reshape(6, 3)
-    before = forward(m, X).values
+    before = forward(m, X)
     c = m.copy()
     m.weights[0][1, 2] += 1.0
     m.weights[2] *= 2.0
     assert m.theta[1 * 8 + 2] == c.theta[1 * 8 + 2] + 1.0
     assert np.array_equal(m.theta[-9:-1], 2.0 * c.theta[-9:-1])
-    assert not np.array_equal(forward(m, X).values, before)
-    assert np.array_equal(forward(c, X).values, before)  # the copy kept its own buffer
+    assert not np.array_equal(forward(m, X), before)
+    assert np.array_equal(forward(c, X), before)  # the copy kept its own buffer
     c.theta[:] = 0.0
     assert np.all(m.biases[0] == init_mlp(3, seed=4, hidden=8).biases[0])
 
@@ -100,10 +100,10 @@ def test_weight_views_share_theta():
 
 def test_forward_open_interval_and_zero_input():
     m = init_mlp(4, seed=3)
-    p = forward(m, np.zeros((2, 4))).values
+    p = forward(m, np.zeros((2, 4)))
     assert np.all(p > 0.0) and np.all(p < 1.0)
     stream = Stream(5)
-    p = forward(m, stream.normal(80).reshape(20, 4)).values
+    p = forward(m, stream.normal(80).reshape(20, 4))
     assert np.all(p > 0.0) and np.all(p < 1.0)
     assert np.all(np.isfinite(p))
 
@@ -116,8 +116,8 @@ def test_forward_empty_input():
 def test_forward_batching_invariance():
     m = init_mlp(3, seed=7)
     X = Stream(8).normal(30).reshape(10, 3)
-    whole = forward(m, X).values
-    rows = np.array([forward(m, X[i : i + 1]).values[0] for i in range(10)])
+    whole = forward(m, X)
+    rows = np.array([forward(m, X[i : i + 1])[0] for i in range(10)])
     np.testing.assert_allclose(whole, rows, atol=1e-12)
 
 
@@ -130,10 +130,10 @@ def test_forward_dimension_check():
 def test_doubling_output_weights_sharpens_predictions():
     m = init_mlp(3, seed=9)
     X = Stream(10).normal(24).reshape(8, 3)
-    before = forward(m, X).values
+    before = forward(m, X)
     sharp = m.copy()
     sharp.weights[2] *= 2.0
-    after = forward(sharp, X).values
+    after = forward(sharp, X)
     assert np.all(np.abs(after - 0.5) >= np.abs(before - 0.5))
 
 
@@ -158,11 +158,11 @@ def test_gradient_independent_finite_difference():
     X, y = _tiny_batch(77, n=4, d=2)
 
     h = 1e-6
-    base = _loss(m, X, y.values, Loss.CROSS_ENTROPY)
-    grads = MlpModel(_grads(m, X, y.values, Loss.CROSS_ENTROPY), m.d, m.hidden)
+    base = _loss(m, X, y, Loss.CROSS_ENTROPY)
+    grads = MlpModel(_grads(m, X, y, Loss.CROSS_ENTROPY), m.d, m.hidden)
     probe = m.copy()
     probe.weights[0][1, 2] += h
-    fd = (_loss(probe, X, y.values, Loss.CROSS_ENTROPY) - base) / h
+    fd = (_loss(probe, X, y, Loss.CROSS_ENTROPY) - base) / h
 
     assert grads.weights[0][1, 2] == pytest.approx(fd, rel=1e-3)
 
@@ -171,9 +171,9 @@ def test_gradient_zero_at_exact_fit():
     """Squared error with y = forward(X): the analytic gradient vanishes."""
     m = init_mlp(3, seed=30, hidden=4)
     X, _ = _tiny_batch(31, n=6, d=3)
-    y = ScoreVector(forward(m, X).values, normalized=True)
+    y = forward(m, X)
 
-    assert np.abs(_grads(m, X, y.values, Loss.SQUARED_ERROR)).max() < 1e-8
+    assert np.abs(_grads(m, X, y, Loss.SQUARED_ERROR)).max() < 1e-8
 
 
 def test_gradient_batch_order_invariance():
@@ -181,11 +181,11 @@ def test_gradient_batch_order_invariance():
     X, y = _tiny_batch(41, n=8, d=2)
     perm = Stream(42).permutation(8)
 
-    v1 = _loss(m, X, y.values, Loss.CROSS_ENTROPY)
-    v2 = _loss(m, X[perm], y.values[perm], Loss.CROSS_ENTROPY)
+    v1 = _loss(m, X, y, Loss.CROSS_ENTROPY)
+    v2 = _loss(m, X[perm], y[perm], Loss.CROSS_ENTROPY)
     assert v1 == pytest.approx(v2, abs=1e-12)
-    g1 = _grads(m, X, y.values, Loss.CROSS_ENTROPY)
-    g2 = _grads(m, X[perm], y.values[perm], Loss.CROSS_ENTROPY)
+    g1 = _grads(m, X, y, Loss.CROSS_ENTROPY)
+    g2 = _grads(m, X[perm], y[perm], Loss.CROSS_ENTROPY)
     np.testing.assert_allclose(g1, g2, atol=1e-12)
 
 
@@ -196,10 +196,10 @@ def test_gradient_batch_order_invariance():
 def test_train_pulls_outputs_toward_constant_target():
     m = init_mlp(2, seed=50)
     X = Stream(51).normal(120).reshape(60, 2)
-    y = ScoreVector(np.full(60, 0.5), normalized=True)
-    before = np.abs(forward(m, X).values - 0.5).mean()
+    y = np.full(60, 0.5)
+    before = np.abs(forward(m, X) - 0.5).mean()
     out = train(m, X, y, TrainSpec(seed=52))
-    after = np.abs(forward(out, X).values - 0.5).mean()
+    after = np.abs(forward(out, X) - 0.5).mean()
     assert after < before
 
 
@@ -209,8 +209,8 @@ def test_train_separates_two_blobs():
     b = stream.normal(80).reshape(40, 2) * 0.3 + 3.0
     X = np.vstack([a, b])
     y = np.array([0.0] * 40 + [1.0] * 40)
-    m = train(init_mlp(2, seed=61), X, ScoreVector(y, normalized=True), TrainSpec(seed=62))
-    assert aucroc(forward(m, X).values, y.astype(np.int64)) > 0.95
+    m = train(init_mlp(2, seed=61), X, y, TrainSpec(seed=62))
+    assert aucroc(forward(m, X), y.astype(np.int64)) > 0.95
 
 
 def test_train_deterministic_and_pure():
@@ -239,7 +239,7 @@ def _per_tensor_adam_train(m, X, y, spec):
         order = Stream(derive(spec.seed, epoch)).permutation(n)
         for b in range(math.ceil(n / spec.batch_size)):
             batch = order[b * spec.batch_size : (b + 1) * spec.batch_size]
-            g = MlpModel(_grads(out, X[batch], y.values[batch], spec.loss), m.d, m.hidden)
+            g = MlpModel(_grads(out, X[batch], y[batch], spec.loss), m.d, m.hidden)
             grads = [g.weights[0], g.biases[0], g.weights[1], g.biases[1], g.weights[2], g.biases[2]]
             step += 1
             c1 = 1.0 - 0.9**step
@@ -273,8 +273,13 @@ def test_train_spec_validation():
 def test_train_requires_normalized_targets():
     m = init_mlp(2, seed=0)
     X, _ = _tiny_batch(1, n=4, d=2)
-    with pytest.raises(ValueError):
-        train(m, X, ScoreVector(np.array([0.1, 0.2, 0.3, 0.4])), TrainSpec())
+    for bad in (1.5, -0.2, np.nan):
+        with pytest.raises(ValueError, match=r"training targets must lie in \[0, 1\]"):
+            train(m, X, np.array([0.1, 0.2, bad, 0.4]), TrainSpec())
+    with pytest.raises(ValueError, match="training targets must be 1-d"):
+        train(m, X, np.full((4, 1), 0.5), TrainSpec())
+    with pytest.raises(ValueError, match="target length 3 != row count 4"):
+        train(m, X, np.full(3, 0.5), TrainSpec())
 
 
 def test_default_loss_is_cross_entropy():
