@@ -14,7 +14,6 @@ from uadb import (
     DetectorParams,
     Strategy,
     SyntheticKind,
-    TrainSpec,
     aucroc,
     fit_score,
     generate_synthetic,
@@ -36,7 +35,7 @@ for kind in KINDS:
     rows["teacher"].append(aucroc(teacher, ds.labels))
     for strategy in STRATEGIES:
         # one seed drives folds, init, and shuffles alike
-        cfg = BoosterConfig(strategy=strategy, seed=SEED, train=TrainSpec(seed=SEED))
+        cfg = BoosterConfig(strategy=strategy, seed=SEED)
         result = run_booster(ds, teacher, cfg)
         rows[strategy.value].append(aucroc(result.final_scores, ds.labels))
 

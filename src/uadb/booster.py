@@ -58,11 +58,13 @@ class Strategy(enum.Enum):
 
 @dataclass(frozen=True)
 class BoosterConfig:
-    """Loop length T, cross-fitting folds, strategy, and training settings.
+    """Loop length T, cross-fitting folds, strategy, training settings and seed.
 
     fold_count = 1 disables cross-fitting (one model, in-sample predictions).
     Each fold model warm-starts from its previous round's weights, and the
-    final scores are the mean output of all fold models.
+    final scores are the mean output of all fold models. seed alone seeds the
+    fold assignment, the weight init and every round's batch shuffles;
+    train.seed must stay 0.
     """
 
     T: int = 10
@@ -76,6 +78,8 @@ class BoosterConfig:
             raise ValueError(f"need T >= 1, got {self.T}")
         if self.fold_count < 1:
             raise ValueError(f"need fold_count >= 1, got {self.fold_count}")
+        if self.train.seed != 0:
+            raise ValueError(f"need train.seed == 0, got {self.train.seed} (seed seeds training)")
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,7 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
         for f in range(cfg.fold_count):
             held = np.flatnonzero(folds == f)
             rows = np.flatnonzero(folds != f) if cfg.fold_count > 1 else held
-            spec = replace(cfg.train, seed=derive(cfg.train.seed, _TAG_TRAIN_SHUFFLE, t, f))
+            spec = replace(cfg.train, seed=derive(cfg.seed, _TAG_TRAIN_SHUFFLE, t, f))
             models[f] = train(models[f], X[rows], current[rows], spec)
             p[held] = forward(models[f], X[held])
         if labeled:

@@ -3,9 +3,11 @@
 Settings resolve in priority order: explicit flags, then a JSON config file
 (--config; a previously emitted report also works, its "config" key is
 used), then the UADB_SEED environment variable for the seed, then the
-built-in defaults. Every report embeds the fully resolved config, so
-re-running a command from its own report reproduces the artifacts
-byte for byte.
+defaults. Each flag declares its default once, read from the library's
+TrainSpec, BoosterConfig or DetectorParams where those hold it; a config
+file becomes the subcommand's defaults and the command line is parsed
+again. Every report embeds the fully resolved config, so re-running a
+command from its own report reproduces the artifacts byte for byte.
 
 Exit codes: 0 success, 2 usage errors, 1 data/runtime errors.
 """
@@ -49,10 +51,6 @@ class UsageError(Exception):
     """Missing or contradictory settings after config resolution."""
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("UADB_SEED", "0"))
-
-
 def _load_config(path: str) -> dict:
     try:
         blob = json.loads(read_text(path))
@@ -79,22 +77,17 @@ def _fits_flag(action: argparse.Action, value) -> bool:
     )
 
 
-def _merge(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
-    """Flags beat config-file values beat defaults; reject unknown keys and mistyped values."""
-    unknown = set(config) - set(defaults)
+def _apply_config(p: argparse.ArgumentParser, config: dict) -> None:
+    """Make config-file values the subcommand's defaults; a JSON null leaves a default as is."""
+    flags = {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
+    unknown = set(config) - set(flags)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    resolved = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key)
-            if value is not None and not _fits_flag(args.flags[key], value):
-                raise UsageError(f"config value {key}={value!r} is not a valid --{key.replace('_', '-')}")
-        if value is None:
-            value = default
-        resolved[key] = value
-    return resolved
+    config = {key: value for key, value in config.items() if value is not None}
+    for key, value in config.items():
+        if not _fits_flag(flags[key], value):
+            raise UsageError(f"config value {key}={value!r} is not a valid --{key.replace('_', '-')}")
+    p.set_defaults(**config)
 
 
 def _require(cfg: dict, key: str) -> None:
@@ -131,21 +124,24 @@ def _teacher_scores(ds: Dataset, cfg: dict, seed: int) -> np.ndarray:
     return fit_score(ds, replace(_teacher_params(cfg), seed=seed))
 
 
-def _booster_config(cfg: dict, strategy: Strategy, seed: int) -> BoosterConfig:
-    train = TrainSpec(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-        loss=Loss(cfg["loss"]),
-        seed=seed,
-    )
-    return BoosterConfig(
-        T=cfg["iterations"],
-        fold_count=cfg["folds"],
-        strategy=strategy,
-        train=train,
-        seed=seed,
-    )
+def _booster_config(cfg: dict, strategy: Strategy) -> BoosterConfig:
+    """The run's BoosterConfig at seed cfg["seed"]; bad settings are usage errors."""
+    try:
+        train = TrainSpec(
+            epochs=cfg["epochs"],
+            batch_size=cfg["batch_size"],
+            learning_rate=cfg["learning_rate"],
+            loss=Loss(cfg["loss"]),
+        )
+        return BoosterConfig(
+            T=cfg["iterations"],
+            fold_count=cfg["folds"],
+            strategy=strategy,
+            train=train,
+            seed=cfg["seed"],
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _run_metrics(ds: Dataset, teacher: np.ndarray, result: BoosterResult) -> dict:
@@ -194,12 +190,7 @@ def _save_grid(result: BoosterResult, ds: Dataset, path: str, grid_size: int) ->
 # subcommands
 
 
-def cmd_synth(args: argparse.Namespace, config: dict) -> tuple[dict, list[str]]:
-    cfg = _merge(
-        args,
-        config,
-        {"kind": None, "n": 300, "rate": 0.15, "seed": _default_seed(), "out": None, "report": None},
-    )
+def cmd_synth(cfg: dict) -> tuple[dict, list[str]]:
     _require(cfg, "kind")
     ds = generate_synthetic(SyntheticKind(cfg["kind"]), cfg["n"], cfg["rate"], cfg["seed"])
     if cfg["out"] is not None:
@@ -217,27 +208,7 @@ def cmd_synth(args: argparse.Namespace, config: dict) -> tuple[dict, list[str]]:
     return report, lines
 
 
-_DETECT_DEFAULTS = {
-    "data": None,
-    "label_column": None,
-    "detector": None,
-    "trees": 100,
-    "subsample": 256,
-    "bins": 10,
-    "k": None,
-    "components": None,
-    "scale": True,
-    "scores_out": None,
-    "report": None,
-}
-
-
-def _detect_defaults() -> dict:
-    return {**_DETECT_DEFAULTS, "seed": _default_seed()}
-
-
-def cmd_detect(args: argparse.Namespace, config: dict) -> tuple[dict, list[str]]:
-    cfg = _merge(args, config, _detect_defaults())
+def cmd_detect(cfg: dict) -> tuple[dict, list[str]]:
     _require(cfg, "data")
     _require(cfg, "detector")
     ds = _load_dataset(cfg)
@@ -261,59 +232,26 @@ def cmd_detect(args: argparse.Namespace, config: dict) -> tuple[dict, list[str]]
     return report, lines
 
 
-_BOOST_DEFAULTS = {
-    "data": None,
-    "label_column": None,
-    "teacher": None,
-    "teacher_scores": None,
-    "strategy": "uadb",
-    "iterations": 10,
-    "folds": 3,
-    "epochs": 10,
-    "batch_size": 256,
-    "learning_rate": 0.001,
-    "loss": "cross-entropy",
-    "repeat": 1,
-    "trees": 100,
-    "subsample": 256,
-    "bins": 10,
-    "k": None,
-    "components": None,
-    "scale": True,
-    "scores_out": None,
-    "history_out": None,
-    "grid_out": None,
-    "grid_size": 100,
-    "report": None,
-}
-
-
-def _boost_defaults() -> dict:
-    return {**_BOOST_DEFAULTS, "seed": _default_seed()}
-
-
-def cmd_boost(args: argparse.Namespace, config: dict) -> tuple[dict, list[str]]:
-    cfg = _merge(args, config, _boost_defaults())
+def cmd_boost(cfg: dict) -> tuple[dict, list[str]]:
     _require(cfg, "data")
     if cfg["repeat"] < 1:
         raise UsageError(f"need repeat >= 1, got {cfg['repeat']}")
     if cfg["grid_size"] < 2:
         raise UsageError(f"need grid_size >= 2, got {cfg['grid_size']}")
+    strategy = Strategy(cfg["strategy"])
+    booster = _booster_config(cfg, strategy)
     ds = _load_dataset(cfg)
     if cfg["grid_out"] is not None and ds.d != 2:
         raise DataError(f"grid export needs d=2 data, got d={ds.d}")
-    strategy = Strategy(cfg["strategy"])
 
     runs = []
     first_result = None
-    first_teacher = None
     for r in range(cfg["repeat"]):
         seed = cfg["seed"] + r  # independent runs, reproducible sequence
         teacher = _teacher_scores(ds, cfg, seed)
-        result = run_booster(ds, teacher, _booster_config(cfg, strategy, seed))
+        result = run_booster(ds, teacher, replace(booster, seed=seed))
         if r == 0:
             first_result = result
-            first_teacher = teacher
         entry = {"seed": seed}
         if ds.labels is not None:
             entry.update(_run_metrics(ds, teacher, result))
@@ -361,16 +299,9 @@ _ABLATE_ORDER = (
 )
 
 
-def _ablate_defaults() -> dict:
-    d = _boost_defaults()
-    for key in ("strategy", "repeat", "scores_out", "history_out", "grid_out", "grid_size"):
-        d.pop(key)
-    return d
-
-
-def cmd_ablate(args: argparse.Namespace, config: dict) -> tuple[dict, list[str]]:
-    cfg = _merge(args, config, _ablate_defaults())
+def cmd_ablate(cfg: dict) -> tuple[dict, list[str]]:
     _require(cfg, "data")
+    booster = _booster_config(cfg, Strategy.UADB)
     ds = _load_dataset(cfg)
     if ds.labels is None:
         raise DataError("ablate requires labeled data (--label-column)")
@@ -382,7 +313,7 @@ def cmd_ablate(args: argparse.Namespace, config: dict) -> tuple[dict, list[str]]
         if strategy is None:
             scores = scaled_teacher
         else:
-            scores = run_booster(ds, teacher, _booster_config(cfg, strategy, cfg["seed"])).final_scores
+            scores = run_booster(ds, teacher, replace(booster, strategy=strategy)).final_scores
         rows.append(
             {
                 "variant": name,
@@ -403,9 +334,10 @@ def cmd_ablate(args: argparse.Namespace, config: dict) -> tuple[dict, list[str]]
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed: str) -> None:
     p.add_argument("--config", help="JSON config file (or a previously emitted report)")
-    p.add_argument("--seed", type=int, help="base random seed (default: $UADB_SEED or 0)")
+    # a str default goes through type=int only when it is used
+    p.add_argument("--seed", type=int, default=seed, help="base random seed (default: $UADB_SEED or 0)")
     p.add_argument("--report", help="write the JSON report to this path")
 
 
@@ -415,15 +347,16 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--scale",
         action=argparse.BooleanOptionalAction,
-        default=None,
+        default=True,
         help="min-max scale features before fitting (default: on)",
     )
 
 
 def _add_detector_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trees", type=int, help="isolation forest tree count")
-    p.add_argument("--subsample", type=int, help="isolation forest subsample size")
-    p.add_argument("--bins", type=int, help="histogram detector bin count")
+    d = DetectorParams
+    p.add_argument("--trees", type=int, default=d.trees, help="isolation forest tree count")
+    p.add_argument("--subsample", type=int, default=d.subsample, help="isolation forest subsample size")
+    p.add_argument("--bins", type=int, default=d.bins, help="histogram detector bin count")
     p.add_argument("--k", type=int, help="neighbor count for lof/knn")
     p.add_argument("--components", type=int, help="retained components for pca")
 
@@ -434,56 +367,55 @@ def _add_booster_args(p: argparse.ArgumentParser) -> None:
         "--teacher", choices=[k.value for k in DetectorKind], help="native teacher detector"
     )
     teacher.add_argument("--teacher-scores", help="file of precomputed teacher scores")
-    p.add_argument("--iterations", type=int, help="boosting iterations T")
-    p.add_argument("--folds", type=int, help="cross-fitting fold count (1 disables)")
-    p.add_argument("--epochs", type=int, help="training epochs per iteration")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--loss", choices=[kind.value for kind in Loss])
+    b, t = BoosterConfig, TrainSpec
+    p.add_argument("--iterations", type=int, default=b.T, help="boosting iterations T")
+    p.add_argument("--folds", type=int, default=b.fold_count, help="cross-fitting fold count (1 disables)")
+    p.add_argument("--epochs", type=int, default=t.epochs, help="training epochs per iteration")
+    p.add_argument("--batch-size", type=int, default=t.batch_size)
+    p.add_argument("--learning-rate", type=float, default=t.learning_rate)
+    p.add_argument("--loss", choices=[kind.value for kind in Loss], default=t.loss.value)
     _add_detector_args(p)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="uadb",
         description="Boost unsupervised anomaly detectors with variance-corrected pseudo labels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = os.environ.get("UADB_SEED", "0")
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset CSV")
     p.add_argument("--kind", choices=[k.value for k in SyntheticKind])
-    p.add_argument("--n", type=int, help="total rows (default 300)")
-    p.add_argument("--rate", type=float, help="anomaly rate (default 0.15)")
+    p.add_argument("--n", type=int, default=300, help="total rows (default %(default)s)")
+    p.add_argument("--rate", type=float, default=0.15, help="anomaly rate (default %(default)s)")
     p.add_argument("--out", help="output CSV path")
-    _add_common(p)
+    _add_common(p, seed)
 
     p = sub.add_parser("detect", help="fit one detector and write normalized scores")
     _add_data_args(p)
     p.add_argument("--detector", choices=[k.value for k in DetectorKind])
     _add_detector_args(p)
     p.add_argument("--scores-out", help="write one score per line to this path")
-    _add_common(p)
+    _add_common(p, seed)
 
     p = sub.add_parser("boost", help="run a boosting strategy on a teacher")
     _add_data_args(p)
     _add_booster_args(p)
-    p.add_argument("--strategy", choices=[s.value for s in Strategy])
-    p.add_argument("--repeat", type=int, help="average metrics over this many seeded runs")
+    p.add_argument("--strategy", choices=[s.value for s in Strategy], default=BoosterConfig.strategy.value)
+    p.add_argument("--repeat", type=int, default=1, help="average metrics over this many seeded runs")
     p.add_argument("--scores-out", help="write final booster scores to this path")
     p.add_argument("--history-out", help="write the pseudo-label history CSV to this path")
     p.add_argument("--grid-out", help="write a 2-d grid of booster scores to this path")
-    p.add_argument("--grid-size", type=int, help="grid resolution per axis (default 100)")
-    _add_common(p)
+    p.add_argument("--grid-size", type=int, default=100, help="grid points per axis (default %(default)s)")
+    _add_common(p, seed)
 
     p = sub.add_parser("ablate", help="compare the teacher and all five strategies")
     _add_data_args(p)
     _add_booster_args(p)
-    _add_common(p)
-
-    for p in sub.choices.values():
-        # _merge checks config-file values against each flag's declared type
-        p.set_defaults(flags={a.dest: a for a in p._actions})
-    return parser
+    _add_common(p, seed)
+    return parser, sub.choices
 
 
 _HANDLERS = {
@@ -495,11 +427,14 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        report, lines = _HANDLERS[args.command](args, config)
+        if args.config:
+            _apply_config(commands[args.command], _load_config(args.config))
+            args = parser.parse_args(argv)
+        cfg = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
+        report, lines = _HANDLERS[args.command](cfg)
         if report["config"].get("report") is not None:
             _write_json(report, report["config"]["report"])
             lines.append(f"wrote {report['config']['report']}")

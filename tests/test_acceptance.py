@@ -19,7 +19,6 @@ from uadb import (
     Loss,
     Strategy,
     SyntheticKind,
-    TrainSpec,
     aucroc,
     average_precision,
     correction_rate,
@@ -219,7 +218,7 @@ def suite_runs():
         for s in SEEDS:
             ds = generate_synthetic(kind, seed=s)
             teacher = fit_score(ds, DetectorParams(kind=det, seed=s))
-            res = run_booster(ds, teacher, BoosterConfig(seed=s, train=TrainSpec(seed=s)))
+            res = run_booster(ds, teacher, BoosterConfig(seed=s))
             v = res.variance_history[:, -1]
             rows.append(
                 {
@@ -307,7 +306,7 @@ def test_criterion_8_ablation_ordering(suite_runs):
         for kind in kinds:
             for s, row in zip(SEEDS, uadb_rows[kind]):
                 ds = row["ds"]
-                cfg = BoosterConfig(strategy=strategy, seed=s, train=TrainSpec(seed=s))
+                cfg = BoosterConfig(strategy=strategy, seed=s)
                 res = run_booster(ds, row["teacher"], cfg)
                 cache[(strategy, kind, s)] = (
                     aucroc(res.final_scores, ds.labels),

@@ -31,7 +31,8 @@ from uadb import (
     update_pseudo_labels,
 )
 from uadb.booster import _assign_folds
-from uadb.rng import Stream
+from uadb.nn import train
+from uadb.rng import Stream, derive
 
 
 def _oracle_two_pass_variance(matrix: np.ndarray) -> np.ndarray:
@@ -52,6 +53,8 @@ def test_booster_config_validation():
         BoosterConfig(T=0)
     with pytest.raises(ValueError):
         BoosterConfig(fold_count=0)
+    with pytest.raises(ValueError, match="train.seed"):  # BoosterConfig.seed is the one seed
+        BoosterConfig(train=TrainSpec(seed=3))
     cfg = BoosterConfig()
     assert cfg.T == 10 and cfg.fold_count == 3
     assert cfg.strategy is Strategy.UADB
@@ -211,12 +214,26 @@ def test_variance_history_only_for_uadb():
 def test_run_booster_deterministic():
     ds = generate_synthetic(SyntheticKind.LOCAL, n=60, seed=3)
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.LOF, k=10))
-    cfg = BoosterConfig(T=3, seed=4, train=TrainSpec(seed=4))
+    cfg = BoosterConfig(T=3, seed=4)
     a = run_booster(ds, teacher, cfg)
     b = run_booster(ds, teacher, cfg)
     assert np.array_equal(a.final_scores, b.final_scores)
     assert np.array_equal(a.label_history, b.label_history)
     assert np.array_equal(a.variance_history, b.variance_history)
+
+
+def test_training_shuffles_derive_from_the_booster_seed(monkeypatch):
+    ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=4)
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
+    seeds = []
+
+    def recording_train(model, X, y, spec):
+        seeds.append(spec.seed)
+        return train(model, X, y, spec)
+
+    monkeypatch.setattr("uadb.booster.train", recording_train)
+    run_booster(ds, teacher, BoosterConfig(T=2, fold_count=3, seed=7))
+    assert seeds == [derive(7, 301, t, f) for t in (1, 2) for f in range(3)]
 
 
 def test_run_booster_seed_changes_result():
@@ -432,7 +449,7 @@ def _finite_and_repeatable(call) -> np.ndarray | None:
 @given(_hard_features(), st.integers(0, 2**16))
 def test_hard_inputs_give_finite_repeatable_scores_or_clear_errors(X, seed):
     ds = Dataset(features=X)
-    cfg = BoosterConfig(T=2, fold_count=min(3, ds.n), seed=seed, train=TrainSpec(epochs=3, seed=seed))
+    cfg = BoosterConfig(T=2, fold_count=min(3, ds.n), seed=seed, train=TrainSpec(epochs=3))
     for kind in DetectorKind:
         teacher = _finite_and_repeatable(lambda: fit_score(ds, DetectorParams(kind=kind, seed=seed)))
         if teacher is None:

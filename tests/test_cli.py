@@ -282,6 +282,38 @@ def test_boost_grid_checks_run_before_training(tmp_path, capsys, d, grid_size, c
     assert not any(path.exists() for path in outputs.values())
 
 
+@pytest.mark.parametrize("command", ["boost", "ablate"])
+@pytest.mark.parametrize(
+    "setting",
+    [
+        ["--iterations", "0"],
+        ["--folds", "0"],
+        ["--epochs", "0"],
+        ["--batch-size", "0"],
+        ["--learning-rate", "0"],
+        {"iterations": 0},
+    ],
+    ids=["iterations", "folds", "epochs", "batch-size", "learning-rate", "config-iterations"],
+)
+def test_bad_booster_setting_is_usage_error_before_reading_data(
+    clustered_csv, tmp_path, capsys, monkeypatch, command, setting
+):
+    monkeypatch.setattr("uadb.cli.load_csv", lambda *args: pytest.fail("data read before the settings check"))
+    if isinstance(setting, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting), encoding="utf-8")
+        setting = ["--config", str(cfg)]
+    outputs = {"--report": tmp_path / "report.json"}
+    if command == "boost":
+        outputs["--scores-out"] = tmp_path / "scores.txt"
+    args = [command, "--data", str(clustered_csv), "--label-column", "label", "--teacher", "hbos", *setting]
+    for flag, path in outputs.items():
+        args += [flag, str(path)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("usage error: need ")
+    assert not any(path.exists() for path in outputs.values())
+
+
 # ---------------------------------------------------------------------------
 # ablate
 
@@ -372,11 +404,46 @@ def test_config_file_with_flag_override(tmp_path):
     assert blob["config"]["seed"] == 5
 
 
+@pytest.mark.parametrize(
+    "argv,config,expected",
+    [
+        # a JSON null falls back to the flag's default
+        (["synth"], {"kind": "global", "n": None}, {"kind": "global", "n": 300}),
+        # flag beats config file, which beats the default
+        (
+            ["boost", "--folds", "2"],
+            {"teacher": "hbos", "iterations": 1, "folds": 1, "epochs": 2},
+            {"teacher": "hbos", "iterations": 1, "folds": 2, "epochs": 2, "batch_size": 256},
+        ),
+        (["boost"], {"teacher": "hbos", "iterations": 1, "folds": None}, {"folds": 3, "strategy": "uadb"}),
+    ],
+    ids=["synth-null", "boost", "boost-null"],
+)
+def test_config_precedence_and_null_values(clustered_csv, tmp_path, argv, config, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    rep = tmp_path / "rep.json"
+    argv = [*argv, "--config", str(cfg), "--report", str(rep)]
+    argv += ["--out", str(tmp_path / "out.csv")] if argv[0] == "synth" else ["--data", str(clustered_csv)]
+    assert main(argv) == 0
+    resolved = json.loads(rep.read_text())["config"]
+    assert {key: resolved[key] for key in expected} == expected
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "global", "bogus": 1}), encoding="utf-8")
     assert main(["synth", "--config", str(cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_boost_report_as_ablate_config_names_boost_only_keys(clustered_csv, tmp_path, capsys):
+    rep = tmp_path / "boost.json"
+    argv = ["--data", str(clustered_csv), "--label-column", "label", "--teacher", "hbos", "--iterations", "1"]
+    assert main(["boost", *argv, "--report", str(rep)]) == 0
+    assert main(["ablate", "--config", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys: grid_out, grid_size, history_out, repeat, scores_out, strategy\n" in err
 
 
 @pytest.mark.parametrize(
