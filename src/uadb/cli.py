@@ -38,6 +38,7 @@ from .data import (
 from .detectors import (
     DetectorKind,
     DetectorParams,
+    check_params,
     fit_score,
     import_scores,
     minmax_values,
@@ -104,9 +105,10 @@ def _load_dataset(cfg: dict) -> Dataset:
     return scale_features(ds) if cfg["scale"] else ds
 
 
-def _teacher_params(cfg: dict) -> DetectorParams:
-    return DetectorParams(
-        kind=DetectorKind(cfg["teacher"]),
+def _detector_params(cfg: dict, kind: str) -> DetectorParams:
+    """Settings for detector `kind`; those it refuses on any dataset are usage errors."""
+    params = DetectorParams(
+        kind=DetectorKind(kind),
         trees=cfg["trees"],
         subsample=cfg["subsample"],
         bins=cfg["bins"],
@@ -114,14 +116,24 @@ def _teacher_params(cfg: dict) -> DetectorParams:
         components=cfg["components"],
         seed=cfg["seed"],
     )
+    try:
+        check_params(params)
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
+    return params
 
 
-def _teacher_scores(ds: Dataset, cfg: dict, seed: int) -> np.ndarray:
+def _teacher_params(cfg: dict) -> DetectorParams | None:
+    """The native teacher's settings, or None when scores come from --teacher-scores."""
     if (cfg["teacher"] is None) == (cfg["teacher_scores"] is None):
         raise UsageError("exactly one of --teacher / --teacher-scores is required")
-    if cfg["teacher_scores"] is not None:
+    return None if cfg["teacher"] is None else _detector_params(cfg, cfg["teacher"])
+
+
+def _teacher_scores(ds: Dataset, cfg: dict, params: DetectorParams | None, seed: int) -> np.ndarray:
+    if params is None:
         return import_scores(cfg["teacher_scores"], ds.n)
-    return fit_score(ds, replace(_teacher_params(cfg), seed=seed))
+    return fit_score(ds, replace(params, seed=seed))
 
 
 def _booster_config(cfg: dict, strategy: Strategy) -> BoosterConfig:
@@ -211,8 +223,9 @@ def cmd_synth(cfg: dict) -> tuple[dict, list[str]]:
 def cmd_detect(cfg: dict) -> tuple[dict, list[str]]:
     _require(cfg, "data")
     _require(cfg, "detector")
+    params = _detector_params(cfg, cfg["detector"])
     ds = _load_dataset(cfg)
-    scores = minmax_values(fit_score(ds, _teacher_params({**cfg, "teacher": cfg["detector"]})))
+    scores = minmax_values(fit_score(ds, params))
     if cfg["scores_out"] is not None:
         save_scores(scores, cfg["scores_out"])
     report = {"command": "detect", "config": cfg, "n": ds.n, "d": ds.d, "metrics": None}
@@ -240,6 +253,7 @@ def cmd_boost(cfg: dict) -> tuple[dict, list[str]]:
         raise UsageError(f"need grid_size >= 2, got {cfg['grid_size']}")
     strategy = Strategy(cfg["strategy"])
     booster = _booster_config(cfg, strategy)
+    teacher_params = _teacher_params(cfg)
     ds = _load_dataset(cfg)
     if cfg["grid_out"] is not None and ds.d != 2:
         raise DataError(f"grid export needs d=2 data, got d={ds.d}")
@@ -248,7 +262,7 @@ def cmd_boost(cfg: dict) -> tuple[dict, list[str]]:
     first_result = None
     for r in range(cfg["repeat"]):
         seed = cfg["seed"] + r  # independent runs, reproducible sequence
-        teacher = _teacher_scores(ds, cfg, seed)
+        teacher = _teacher_scores(ds, cfg, teacher_params, seed)
         result = run_booster(ds, teacher, replace(booster, seed=seed))
         if r == 0:
             first_result = result
@@ -302,10 +316,11 @@ _ABLATE_ORDER = (
 def cmd_ablate(cfg: dict) -> tuple[dict, list[str]]:
     _require(cfg, "data")
     booster = _booster_config(cfg, Strategy.UADB)
+    teacher_params = _teacher_params(cfg)
     ds = _load_dataset(cfg)
     if ds.labels is None:
         raise DataError("ablate requires labeled data (--label-column)")
-    teacher = _teacher_scores(ds, cfg, cfg["seed"])
+    teacher = _teacher_scores(ds, cfg, teacher_params, cfg["seed"])
     scaled_teacher = minmax_values(teacher)
 
     rows = []

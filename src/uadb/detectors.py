@@ -62,6 +62,16 @@ class DetectorParams:
     seed: int = 0
 
 
+def check_params(params: DetectorParams) -> None:
+    """Raise DataError on settings the chosen detector refuses whatever the data."""
+    if params.kind is DetectorKind.IFOREST and params.trees < 1:
+        raise DataError(f"need trees >= 1, got {params.trees}")
+    if params.kind is DetectorKind.IFOREST and params.subsample < 2:
+        raise DataError(f"need subsample >= 2, got {params.subsample}")
+    if params.kind is DetectorKind.HBOS and params.bins < 1:
+        raise DataError(f"need bins >= 1, got {params.bins}")
+
+
 def minmax_values(x: np.ndarray) -> np.ndarray:
     """Affine map to [0, 1]; a constant vector maps to all 0.5."""
     x = np.asarray(x, dtype=np.float64)
@@ -127,28 +137,32 @@ def _avg_path_length(m: int) -> float:
 
 
 def _iso_tree_depths(
-    X: np.ndarray, sample: np.ndarray, rows: np.ndarray, depth: int, limit: int, stream: Stream, out: np.ndarray
+    XT: np.ndarray, sample: np.ndarray, rows: np.ndarray, depth: int, limit: int,
+    stream: Stream, path_c: list[float], out: np.ndarray,
 ) -> None:
-    """Grow one isolation tree on `sample` and add the path length of each of X[rows] to out.
+    """Grow one isolation tree on `sample` and write the path length of each scored row to out[rows].
 
+    XT is the feature matrix transposed, one contiguous row per feature.
     Each split sends the subsample and the scored rows down together, and
-    each leaf adds depth + c(leaf size). The left subtree grows first, so
-    the stream is drawn in build order and no tree is ever stored.
+    each leaf writes depth + path_c[leaf size]. The left subtree grows
+    first, so the stream is drawn in build order and no tree is ever stored.
     """
     m = sample.shape[0]
     if m > 1 and depth < limit:
-        candidates = np.flatnonzero(sample.max(axis=0) - sample.min(axis=0) > 0.0)
+        lo = sample.min(axis=0)
+        span = sample.max(axis=0) - lo
+        (candidates,) = (span > 0.0).nonzero()
         if candidates.size:
             f = int(candidates[stream.index(candidates.size)])
-            lo = sample[:, f].min()
-            split = lo + float(stream.uniform(1)[0]) * (sample[:, f].max() - lo)
+            # Python floats: the same float64 ops as numpy scalars, without their overhead
+            split = float(lo[f]) + stream.next_uniform() * float(span[f])
             mask = sample[:, f] < split
-            if mask.any() and not mask.all():
-                left = X[rows, f] < split
-                _iso_tree_depths(X, sample[mask], rows[left], depth + 1, limit, stream, out)
-                _iso_tree_depths(X, sample[~mask], rows[~left], depth + 1, limit, stream, out)
+            if 0 < np.count_nonzero(mask) < m:
+                left = XT[f].take(rows) < split
+                _iso_tree_depths(XT, sample[mask], rows[left], depth + 1, limit, stream, path_c, out)
+                _iso_tree_depths(XT, sample[~mask], rows[~left], depth + 1, limit, stream, path_c, out)
                 return
-    out[rows] += depth + _avg_path_length(m)
+    out[rows] = depth + path_c[m]
 
 
 def fit_score_iforest(
@@ -158,26 +172,30 @@ def fit_score_iforest(
 
     Each tree is grown on a without-replacement subsample of min(subsample, n)
     rows with uniformly random feature/split choices, height-limited at
-    ceil(log2(m)). c(m) is the average BST path-length normalizer. Trees are
-    not stored: all n rows are scored while each tree grows.
+    ceil(log2(m)). c(m) is the average BST path-length normalizer, tabulated
+    once per forest for every leaf size 0..m. Trees are not stored: all n
+    rows are scored while each tree grows. Each tree's stream yields its
+    permutation as one block, then one scalar draw for each node's feature
+    and one for its split, depth first with the left subtree first.
     """
-    if trees < 1:
-        raise DataError(f"need trees >= 1, got {trees}")
-    if subsample < 2:
-        raise DataError(f"need subsample >= 2, got {subsample}")
+    check_params(DetectorParams(DetectorKind.IFOREST, trees=trees, subsample=subsample))
     X = ds.features
     n = ds.n
     if np.all(X == X[0]):
         warnings.warn("all rows identical: isolation scores are uninformative", DegenerateDataWarning)
     m = min(subsample, n)
     limit = math.ceil(math.log2(m))
+    path_c = [_avg_path_length(size) for size in range(m + 1)]
+    XT = np.ascontiguousarray(X.T)
     total = np.zeros(n)
+    depths = np.empty(n)  # every row reaches one leaf, so each tree overwrites all of it
     for t in range(trees):
         stream = Stream(derive(seed, t))
         rows = stream.permutation(n)[:m]
-        _iso_tree_depths(X, X[rows], np.arange(n), 0, limit, stream, total)
+        _iso_tree_depths(XT, X[rows], np.arange(n), 0, limit, stream, path_c, depths)
+        total += depths
     expected = total / trees
-    return np.power(2.0, -expected / _avg_path_length(m))
+    return np.power(2.0, -expected / path_c[m])
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +208,7 @@ def fit_score_hbos(ds: Dataset, bins: int = 10) -> np.ndarray:
     Bins span [min, max] per feature; empty-bin densities are floored at
     1/(2*n*bins) so scores stay bounded. Constant features contribute 0.
     """
-    if bins < 1:
-        raise DataError(f"need bins >= 1, got {bins}")
+    check_params(DetectorParams(DetectorKind.HBOS, bins=bins))
     X = ds.features
     n, d = X.shape
     floor = 1.0 / (2.0 * n * bins)

@@ -19,7 +19,12 @@ regenerated in any language. The construction is counter-based:
 * permutations: stable argsort of n fresh 64-bit outputs
 
 Because each output depends only on (seed, k), block generation and
-one-at-a-time generation yield identical sequences.
+one-at-a-time generation yield identical sequences. Scalar draws
+(``Stream.next_uniform``, ``Stream.index``) and block draws (``u64``,
+``uniform``, ``normal``, ``permutation``) advance one shared counter, so
+any interleaving of them reads the same outputs as one block of the
+total length. A scalar draw runs the pure-Python ``mix64`` and skips
+numpy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -61,14 +66,14 @@ class Stream:
     """
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(seed & _MASK64)
+        self._seed = seed & _MASK64
         self._count = 0
 
     def u64(self, k: int) -> np.ndarray:
         """Next ``k`` raw 64-bit outputs."""
         idx = np.arange(self._count + 1, self._count + k + 1, dtype=np.uint64)
         self._count += k
-        z = self._seed + idx * np.uint64(GOLDEN)
+        z = np.uint64(self._seed) + idx * np.uint64(GOLDEN)
         z ^= z >> np.uint64(30)
         z *= np.uint64(_M1)
         z ^= z >> np.uint64(27)
@@ -94,6 +99,11 @@ class Stream:
         """A random permutation of range(n)."""
         return np.argsort(self.u64(n), kind="stable")
 
+    def next_uniform(self) -> float:
+        """The next double in [0, 1) as a Python float, equal to ``uniform(1)[0]``."""
+        self._count += 1
+        return (mix64(self._seed + self._count * GOLDEN) >> 11) * 2.0**-53
+
     def index(self, bound: int) -> int:
         """One integer uniform on [0, bound)."""
-        return min(int(self.uniform(1)[0] * bound), bound - 1)
+        return min(int(self.next_uniform() * bound), bound - 1)

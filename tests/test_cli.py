@@ -314,6 +314,39 @@ def test_bad_booster_setting_is_usage_error_before_reading_data(
     assert not any(path.exists() for path in outputs.values())
 
 
+@pytest.mark.parametrize("command", ["detect", "boost", "ablate"])
+@pytest.mark.parametrize(
+    ("detector", "setting", "message"),
+    [
+        ("iforest", ["--trees", "0"], "need trees >= 1, got 0"),
+        ("iforest", ["--subsample", "1"], "need subsample >= 2, got 1"),
+        ("hbos", ["--bins", "0"], "need bins >= 1, got 0"),
+    ],
+    ids=["trees", "subsample", "bins"],
+)
+def test_bad_detector_setting_is_usage_error_before_reading_data(
+    tmp_path, capsys, monkeypatch, command, detector, setting, message
+):
+    monkeypatch.setattr("uadb.cli.load_csv", lambda *args: pytest.fail("data read before the settings check"))
+    flag = "--detector" if command == "detect" else "--teacher"
+    report = tmp_path / "report.json"
+    args = [command, "--data", str(tmp_path / "missing.csv"), flag, detector, *setting, "--report", str(report)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["boost", "ablate"])
+@pytest.mark.parametrize("config", [{}, {"teacher": "hbos", "teacher_scores": "s.txt"}], ids=["none", "both"])
+def test_teacher_choice_is_usage_error_before_reading_data(tmp_path, capsys, monkeypatch, command, config):
+    """No teacher, or both kinds at once (only a config file can name both), fails before any read."""
+    monkeypatch.setattr("uadb.cli.load_csv", lambda *args: pytest.fail("data read before the teacher check"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--data", str(tmp_path / "missing.csv"), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "usage error: exactly one of --teacher / --teacher-scores is required\n"
+
+
 # ---------------------------------------------------------------------------
 # ablate
 

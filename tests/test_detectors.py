@@ -1,5 +1,6 @@
 """Detector correctness against brute-force oracles and geometric fixtures."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -86,7 +87,9 @@ def _build_iso_tree(X: np.ndarray, depth: int, limit: int, stream: Stream) -> _I
     candidates = np.flatnonzero(spans > 0.0)
     if candidates.size == 0:
         return _IsoNode(None, 0.0, m)
-    f = int(candidates[stream.index(candidates.size)])
+    # block draws only, never the scalar path under test: Stream.index inlined on uniform(1)
+    u = float(stream.uniform(1)[0])
+    f = int(candidates[min(int(u * candidates.size), candidates.size - 1)])
     lo = X[:, f].min()
     hi = X[:, f].max()
     split = lo + float(stream.uniform(1)[0]) * (hi - lo)
@@ -222,6 +225,70 @@ def test_iforest_matches_build_then_descend_oracle():
                         warnings.simplefilter("ignore", DegenerateDataWarning)
                         got = fit_score_iforest(ds, trees=3, subsample=subsample, seed=n)
                     assert np.array_equal(got, _oracle_iforest(features, 3, subsample, n))
+
+
+def _iforest_grid_digest(kind: str, n: int, d: int) -> str:
+    """sha256 over fit_score_iforest bytes for seeds {0, 7} x subsample {2, 64, 256}."""
+    X = _random_points(1000 * n + d, n, d)
+    if kind == "binary":
+        X = (X > 0.5).astype(float)
+    elif kind == "duplicate":
+        X[n // 2 :] = X[: n - n // 2]
+    digest = hashlib.sha256()
+    for seed in (0, 7):
+        for subsample in (2, 64, 256):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateDataWarning)
+                scores = fit_score_iforest(Dataset(features=X), trees=8, subsample=subsample, seed=seed)
+            digest.update(scores.tobytes())
+    return digest.hexdigest()
+
+
+# _iforest_grid_digest per (input kind, n, d), captured before the scalar-draw rewrite
+_IFOREST_GOLDEN = {
+    ("normal", 2, 1): "414b5dc2592ba4d44cf485af193e5507dde963711c0a96a826c4bd4163d0f10e",
+    ("normal", 2, 2): "414b5dc2592ba4d44cf485af193e5507dde963711c0a96a826c4bd4163d0f10e",
+    ("normal", 2, 7): "414b5dc2592ba4d44cf485af193e5507dde963711c0a96a826c4bd4163d0f10e",
+    ("normal", 17, 1): "d6d03fa08079c00b47a8277930220766a4e995e6f8c1389fba03c91c487dade5",
+    ("normal", 17, 2): "ec352cb3314959f25f5edeff8bccfb4c0d9ee105e7944a12120f8e5be4a2a1c7",
+    ("normal", 17, 7): "04e040633fd31334a6839ce38fa6a65862209ac78d26a4c952ea3c47240fd7b2",
+    ("normal", 300, 1): "585ecd4661816543a891d0f2b89e2dfbf126bb8e82ddab0502d6f715f24f89f3",
+    ("normal", 300, 2): "90e68011bc3d9cfb951e482e89fcbf43e3ecff603f10675fc637bb917c68c53b",
+    ("normal", 300, 7): "f86ec9ba03d3d67a0fe87257a502a316d8c6f4eae0025b340b8b60a96b599611",
+    ("normal", 1000, 1): "f57a3fd2be601fc4f96192e2fe5da22a25be8838c9d8f7ad48f860906db32ace",
+    ("normal", 1000, 2): "bbad623912a9dbe4c14c3f13e1d3d79df0a6a0cd6bc3777327d39120ff6cdbf7",
+    ("normal", 1000, 7): "b311fa57caf36affd95bac47d98764e964d3425f1221e79f4b7cd58c0f85a64e",
+    ("duplicate", 2, 1): "414b5dc2592ba4d44cf485af193e5507dde963711c0a96a826c4bd4163d0f10e",
+    ("duplicate", 2, 2): "414b5dc2592ba4d44cf485af193e5507dde963711c0a96a826c4bd4163d0f10e",
+    ("duplicate", 2, 7): "414b5dc2592ba4d44cf485af193e5507dde963711c0a96a826c4bd4163d0f10e",
+    ("duplicate", 17, 1): "2aa040dc6fcf1119d7aa5f069061cb16044f707dce7642742b76862ed30d8486",
+    ("duplicate", 17, 2): "d0cd0ad92e12742e3801097095354b9474fc5666e2861922bd417237d0bb547c",
+    ("duplicate", 17, 7): "f10f786a4487bf8e939dc24a8d9607f23fb4f707ebdc9865767156df5962600f",
+    ("duplicate", 300, 1): "63d3a7a14d778ee66e7762393bdb11cef9ba73c593919cb8dc2e44518dc6edbd",
+    ("duplicate", 300, 2): "6690a1a938be57d531d1d000ba0f97280ec6f57851badfb98c57997c6ba7da7d",
+    ("duplicate", 300, 7): "352f92f93d1a1a4918367f14d763666d80be0705c1e0d707d957cd8c34eaf777",
+    ("duplicate", 1000, 1): "d734688b9f103e97380945f7f611b6752e08d5b2424445d9251df23eaa1dd52c",
+    ("duplicate", 1000, 2): "b768bd839370e2d9e38f5636468a158496af43f8d07e04882b12c7d8ebc34655",
+    ("duplicate", 1000, 7): "ffea5e6641465efb367fe4650a021ec148ac0b734360531d5cc4d05953427a6d",
+    ("binary", 2, 1): "414b5dc2592ba4d44cf485af193e5507dde963711c0a96a826c4bd4163d0f10e",
+    ("binary", 2, 2): "414b5dc2592ba4d44cf485af193e5507dde963711c0a96a826c4bd4163d0f10e",
+    ("binary", 2, 7): "414b5dc2592ba4d44cf485af193e5507dde963711c0a96a826c4bd4163d0f10e",
+    ("binary", 17, 1): "d635239e70692556a48143d41acd00e7cbbe9670b8423a16cd89d16c1c381bd3",
+    ("binary", 17, 2): "65d7b1e9a0fc04bf6b65b8735b00dccd097e2be22a3771c5c27b160ed56b2971",
+    ("binary", 17, 7): "d2408ab6dff827a7d9b39399af2bf711c9777b3b11ea2c92d08c4ab27a294ee2",
+    ("binary", 300, 1): "d249a29da61908af9f602490696f11362d4515057126783911ec11617524c2d9",
+    ("binary", 300, 2): "f0250b30366bd995eb03578a5cc7b360be90011725b8da9828aab4dd575bc01e",
+    ("binary", 300, 7): "1326c89ea8e0026217447dd85925b6c52649e6c60b6c01f988fbb056a65ddecb",
+    ("binary", 1000, 1): "cda3bbbac88c8a58d1c8ba8ce59a9e39e2ba00a9292e9badf6775d3a32575339",
+    ("binary", 1000, 2): "f5d028a389ca154958ab33ee28115d19b8b394cd0ae1424af5e0099c6d57b010",
+    ("binary", 1000, 7): "ea75d97627b70e96c5eae8880c7ba93ab6e3b4cdd2571f0a9dc5ec6bcc56e7e2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IFOREST_GOLDEN), ids=lambda case: "-".join(map(str, case)))
+def test_iforest_golden_grid(case):
+    """Any rewrite of tree growth must reproduce these scores bit for bit."""
+    assert _iforest_grid_digest(*case) == _IFOREST_GOLDEN[case]
 
 
 def test_iforest_deterministic_and_validated():

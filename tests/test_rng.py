@@ -89,6 +89,37 @@ def test_index_bounds():
     assert len(set(draws)) == 7  # all residues reachable
 
 
+_OPS = st.one_of(
+    st.just(("next_uniform", 1)),
+    st.tuples(st.just("index"), st.integers(min_value=1, max_value=2**40)),
+    st.tuples(st.just("u64"), st.integers(min_value=1, max_value=5)),
+    st.tuples(st.just("uniform"), st.integers(min_value=1, max_value=5)),
+)
+
+
+@given(st.integers(min_value=0, max_value=_MASK), st.lists(_OPS, max_size=30))
+def test_scalar_and_block_draws_share_one_counter(seed, ops):
+    """Any interleaving of scalar and block draws reads one uniform block in order."""
+    total = sum(1 if op == "index" else k for op, k in ops)
+    block = Stream(seed).uniform(total + 1)
+    raw = Stream(seed).u64(total)
+    s = Stream(seed)
+    at = 0
+    for op, k in ops:
+        if op == "next_uniform":
+            u = s.next_uniform()
+            assert type(u) is float and u == block[at]
+        elif op == "index":  # k is the bound here; one draw
+            i = s.index(k)
+            assert 0 <= i < k and i == min(int(block[at] * k), k - 1)
+        elif op == "u64":
+            assert np.array_equal(s.u64(k), raw[at : at + k])
+        else:
+            assert np.array_equal(s.uniform(k), block[at : at + k])
+        at += 1 if op == "index" else k
+    assert s.next_uniform() == block[total]  # the counter stands at the total length
+
+
 def test_derive_tag_sensitivity():
     assert derive(1, 2, 3) != derive(1, 3, 2)
     assert derive(1, 2) != derive(1, 3)
