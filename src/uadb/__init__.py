@@ -11,6 +11,7 @@ from .booster import (
     BoosterResult,
     InputConditioner,
     Strategy,
+    ablation_scores,
     classify_cases,
     correction_trace,
     per_instance_variance,
@@ -76,6 +77,7 @@ __all__ = [
     "SyntheticKind",
     "TrainSpec",
     "VacuousCorrectionWarning",
+    "ablation_scores",
     "aucroc",
     "average_precision",
     "classify_cases",

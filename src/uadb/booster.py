@@ -23,10 +23,10 @@ transform travels with the result so out-of-sample scoring sees the same
 inputs.
 
 Besides the full method (strategy "uadb"), four reduced strategies support
-ablation: a single static-label pass ("naive"), the same pass scored by
-teacher/booster disagreement ("discrepancy"), self-training on the booster's
-own normalized output ("self"), and self-training scored by disagreement
-("discrepancy-star").
+ablation: one training pass on the static teacher labels ("naive"),
+self-training on the booster's own normalized output ("self"), and each of
+those two scored by teacher/booster disagreement instead ("discrepancy",
+"discrepancy-star"), which ablation_scores derives without training again.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ class BoosterResult:
     k = 0 for every other strategy.
 
     diagnostics holds one row per training iteration (AUCROC and AP of that
-    iteration's out-of-fold predictions); it is empty unless the dataset
-    carries ground-truth labels. models are the fold_count fold models and
+    iteration's out-of-fold predictions); it is empty unless the dataset's
+    labels hold both classes. models are the fold_count fold models and
     conditioner the input transform they were trained behind.
     """
 
@@ -199,7 +199,7 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
         raise DataError("teacher scores contain non-finite values")
     if cfg.fold_count > ds.n:
         raise ValueError(f"fold_count {cfg.fold_count} exceeds row count {ds.n}")
-    labeled = ds.labels is not None
+    labeled = ds.labels is not None and ds.labels.min() != ds.labels.max()
     y1 = minmax_values(teacher)
     diagnostics: list[dict] = []
     conditioner = InputConditioner.fit(ds.features)
@@ -238,11 +238,9 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
         if not single_pass:
             history[:, t] = current
 
-    booster_out = _fold_mean(models, X)
+    final = _fold_mean(models, X)
     if cfg.strategy in (Strategy.DISCREPANCY, Strategy.DISCREPANCY_STAR):
-        final = _discrepancy(booster_out, y1)
-    else:
-        final = booster_out
+        final = _discrepancy(final, y1)
     return BoosterResult(
         final_scores=minmax_values(final),
         label_history=history,
@@ -256,6 +254,23 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
 def score_points(result: BoosterResult, X: np.ndarray) -> np.ndarray:
     """Mean booster-model output at arbitrary points (e.g. a plotting grid)."""
     return _fold_mean(result.models, result.conditioner.apply(X))
+
+
+def ablation_scores(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> dict[Strategy, np.ndarray]:
+    """Final scores of all five strategies from three runs, keyed in report order.
+
+    discrepancy and discrepancy-star train exactly as naive and self do and
+    differ only in the final score, so they are derived from those two runs
+    instead of training again. cfg.strategy is ignored.
+    """
+    scores = {}
+    for base, derived in ((Strategy.NAIVE, Strategy.DISCREPANCY), (Strategy.SELF, Strategy.DISCREPANCY_STAR)):
+        result = run_booster(ds, teacher, replace(cfg, strategy=base))
+        scores[base] = result.final_scores
+        teacher_labels = result.label_history[:, 0]
+        scores[derived] = minmax_values(_discrepancy(score_points(result, ds.features), teacher_labels))
+    scores[Strategy.UADB] = run_booster(ds, teacher, replace(cfg, strategy=Strategy.UADB)).final_scores
+    return scores
 
 
 def classify_cases(teacher: np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .booster import BoosterConfig, BoosterResult, Strategy, run_booster, score_points
+from .booster import BoosterConfig, BoosterResult, Strategy, ablation_scores, run_booster, score_points
 from .data import (
     DataError,
     Dataset,
@@ -102,6 +102,8 @@ def _write_json(blob: dict, path: str) -> None:
 
 def _load_dataset(cfg: dict) -> Dataset:
     ds = load_csv(cfg["data"], cfg["label_column"])
+    if ds.labels is not None and ds.labels.min() == ds.labels.max():
+        raise DataError(f"label column {cfg['label_column']!r} holds one class; metrics need both 0 and 1")
     return scale_features(ds) if cfg["scale"] else ds
 
 
@@ -303,16 +305,6 @@ def cmd_boost(cfg: dict) -> tuple[dict, list[str]]:
     return report, lines
 
 
-_ABLATE_ORDER = (
-    ("origin", None),
-    ("naive", Strategy.NAIVE),
-    ("discrepancy", Strategy.DISCREPANCY),
-    ("self", Strategy.SELF),
-    ("discrepancy-star", Strategy.DISCREPANCY_STAR),
-    ("uadb", Strategy.UADB),
-)
-
-
 def cmd_ablate(cfg: dict) -> tuple[dict, list[str]]:
     _require(cfg, "data")
     booster = _booster_config(cfg, Strategy.UADB)
@@ -321,21 +313,12 @@ def cmd_ablate(cfg: dict) -> tuple[dict, list[str]]:
     if ds.labels is None:
         raise DataError("ablate requires labeled data (--label-column)")
     teacher = _teacher_scores(ds, cfg, teacher_params, cfg["seed"])
-    scaled_teacher = minmax_values(teacher)
-
-    rows = []
-    for name, strategy in _ABLATE_ORDER:
-        if strategy is None:
-            scores = scaled_teacher
-        else:
-            scores = run_booster(ds, teacher, replace(booster, strategy=strategy)).final_scores
-        rows.append(
-            {
-                "variant": name,
-                "aucroc": aucroc(scores, ds.labels),
-                "ap": average_precision(scores, ds.labels),
-            }
-        )
+    variants = {"origin": minmax_values(teacher)}
+    variants.update((s.value, scores) for s, scores in ablation_scores(ds, teacher, booster).items())
+    rows = [
+        {"variant": name, "aucroc": aucroc(scores, ds.labels), "ap": average_precision(scores, ds.labels)}
+        for name, scores in variants.items()
+    ]
 
     report = {"command": "ablate", "config": cfg, "n": ds.n, "d": ds.d, "rows": rows}
     width = max(len(r["variant"]) for r in rows)

@@ -49,8 +49,8 @@ class DetectorKind(enum.Enum):
 class DetectorParams:
     """Detector choice plus its kind-specific settings.
 
-    `k` and `components` default to None, resolved per kind at fit time
-    (LOF k=20, KNN k=5, PCA components=max(1, floor(d/2))).
+    `k` and `components` default to None, which the kind's fit_score_*
+    function resolves to its own default.
     """
 
     kind: DetectorKind
@@ -231,8 +231,9 @@ def fit_score_hbos(ds: Dataset, bins: int = 10) -> np.ndarray:
 # local outlier factor
 
 
-def fit_score_lof(ds: Dataset, k: int = 20) -> np.ndarray:
-    """Classic LOF over exactly k neighbors (exact KD-tree search), reachability floored at 1e-12."""
+def fit_score_lof(ds: Dataset, k: int | None = None) -> np.ndarray:
+    """LOF over exactly k neighbors (default 20; exact KD-tree search), reachability floored at 1e-12."""
+    k = 20 if k is None else k
     dist, neighbors = _neighbors(ds.features, k)
     k_dist = dist[:, k - 1]
     reach = np.maximum(k_dist[neighbors], dist)
@@ -245,8 +246,9 @@ def fit_score_lof(ds: Dataset, k: int = 20) -> np.ndarray:
 # k-nearest-neighbor distance
 
 
-def fit_score_knn(ds: Dataset, k: int = 5) -> np.ndarray:
-    """Euclidean distance to the k-th nearest neighbor, self excluded (exact KD-tree search)."""
+def fit_score_knn(ds: Dataset, k: int | None = None) -> np.ndarray:
+    """Euclidean distance to the k-th nearest neighbor (default 5), self excluded (exact KD-tree search)."""
+    k = 5 if k is None else k
     return _neighbors(ds.features, k)[0][:, k - 1]
 
 
@@ -317,9 +319,9 @@ def fit_score(ds: Dataset, params: DetectorParams) -> np.ndarray:
     elif kind is DetectorKind.HBOS:
         scores = fit_score_hbos(ds, params.bins)
     elif kind is DetectorKind.LOF:
-        scores = fit_score_lof(ds, params.k if params.k is not None else 20)
+        scores = fit_score_lof(ds, params.k)
     elif kind is DetectorKind.KNN:
-        scores = fit_score_knn(ds, params.k if params.k is not None else 5)
+        scores = fit_score_knn(ds, params.k)
     elif kind is DetectorKind.PCA:
         scores = fit_score_pca(ds, params.components)
     else:

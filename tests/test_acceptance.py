@@ -19,6 +19,7 @@ from uadb import (
     Loss,
     Strategy,
     SyntheticKind,
+    ablation_scores,
     aucroc,
     average_precision,
     correction_rate,
@@ -288,34 +289,20 @@ def test_criterion_7_variance_evidence(suite_runs):
 def test_criterion_8_ablation_ordering(suite_runs):
     stats, _ = suite_runs
     kinds = [k for k in SyntheticKind]
+    metrics = {}  # (strategy, kind, seed) -> (AUCROC, AP)
+    for kind in kinds:
+        for s, row in zip(SEEDS, stats[(kind, DetectorKind.IFOREST)]):
+            ds = row["ds"]
+            for strategy, scores in ablation_scores(ds, row["teacher"], BoosterConfig(seed=s)).items():
+                metrics[(strategy, kind, s)] = (aucroc(scores, ds.labels), average_precision(scores, ds.labels))
+            # the full-method run is the suite's own run for this (kind, seed)
+            assert metrics[(Strategy.UADB, kind, s)] == (row["auc"], row["ap"])
 
-    def median_suite_means(per_seed_metric):
-        return float(np.median([np.mean([per_seed_metric(k, s) for k in kinds]) for s in SEEDS]))
+    def median_suite_mean(strategy, i):  # i = 0 for AUCROC, 1 for AP
+        return float(np.median([np.mean([metrics[(strategy, k, s)][i] for k in kinds]) for s in SEEDS]))
 
-    # UADB numbers reuse the IForest-teacher runs already computed
-    uadb_rows = {k: stats[(k, DetectorKind.IFOREST)] for k in kinds}
-    table = {
-        Strategy.UADB: (
-            median_suite_means(lambda k, s: uadb_rows[k][SEEDS.index(s)]["auc"]),
-            median_suite_means(lambda k, s: uadb_rows[k][SEEDS.index(s)]["ap"]),
-        )
-    }
     reduced = [Strategy.NAIVE, Strategy.DISCREPANCY, Strategy.SELF, Strategy.DISCREPANCY_STAR]
-    cache = {}
-    for strategy in reduced:
-        for kind in kinds:
-            for s, row in zip(SEEDS, uadb_rows[kind]):
-                ds = row["ds"]
-                cfg = BoosterConfig(strategy=strategy, seed=s)
-                res = run_booster(ds, row["teacher"], cfg)
-                cache[(strategy, kind, s)] = (
-                    aucroc(res.final_scores, ds.labels),
-                    average_precision(res.final_scores, ds.labels),
-                )
-        table[strategy] = (
-            median_suite_means(lambda k, s, st=strategy: cache[(st, k, s)][0]),
-            median_suite_means(lambda k, s, st=strategy: cache[(st, k, s)][1]),
-        )
+    table = {st: (median_suite_mean(st, 0), median_suite_mean(st, 1)) for st in [Strategy.UADB, *reduced]}
 
     uadb_auc, uadb_ap = table[Strategy.UADB]
     beats_auc = all(uadb_auc > table[s][0] for s in reduced)

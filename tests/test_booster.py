@@ -19,6 +19,7 @@ from uadb import (
     Strategy,
     SyntheticKind,
     TrainSpec,
+    ablation_scores,
     aucroc,
     classify_cases,
     correction_trace,
@@ -283,6 +284,18 @@ def test_unlabeled_dataset_has_no_diagnostics():
     assert res.diagnostics == ()
 
 
+@pytest.mark.parametrize("label", [0, 1])
+def test_single_class_labels_skip_diagnostics_and_keep_scores(label):
+    ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=6)
+    bare = Dataset(features=ds.features)
+    one_class = Dataset(features=ds.features, labels=np.full(ds.n, label))
+    teacher = fit_score(bare, DetectorParams(kind=DetectorKind.KNN))
+    cfg = BoosterConfig(T=2, fold_count=2)
+    res = run_booster(one_class, teacher, cfg)
+    assert res.diagnostics == ()
+    assert np.array_equal(res.final_scores, run_booster(bare, teacher, cfg).final_scores)
+
+
 # seeded end-to-end behavior, default configuration
 
 
@@ -459,3 +472,22 @@ def test_hard_inputs_give_finite_repeatable_scores_or_clear_errors(X, seed):
                 lambda: run_booster(ds, teacher, replace(cfg, strategy=strategy)).final_scores
             )
             assert boosted is not None
+
+
+# ---------------------------------------------------------------------------
+# ablation
+
+
+@pytest.mark.parametrize("fold_count", [1, 3])
+@pytest.mark.parametrize("kind", list(SyntheticKind), ids=lambda k: k.value)
+def test_ablation_scores_equal_per_strategy_runs(kind, fold_count):
+    ds = generate_synthetic(kind, n=60, seed=3)
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.IFOREST, trees=20, seed=3))
+    # a discrepancy strategy here checks that cfg.strategy is ignored
+    cfg = BoosterConfig(T=3, fold_count=fold_count, strategy=Strategy.DISCREPANCY, train=TrainSpec(epochs=3), seed=3)
+    scores = ablation_scores(ds, teacher, cfg)
+    assert list(scores) == [
+        Strategy.NAIVE, Strategy.DISCREPANCY, Strategy.SELF, Strategy.DISCREPANCY_STAR, Strategy.UADB,
+    ]
+    for strategy, got in scores.items():
+        assert np.array_equal(got, run_booster(ds, teacher, replace(cfg, strategy=strategy)).final_scores), strategy

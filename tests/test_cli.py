@@ -347,8 +347,37 @@ def test_teacher_choice_is_usage_error_before_reading_data(tmp_path, capsys, mon
     assert capsys.readouterr().err == "usage error: exactly one of --teacher / --teacher-scores is required\n"
 
 
+@pytest.mark.parametrize("label", [0, 1])
+@pytest.mark.parametrize(
+    "command", [["detect", "--detector", "iforest"], ["boost", "--teacher", "hbos"], ["ablate", "--teacher", "hbos"]],
+    ids=["detect", "boost", "ablate"],
+)
+def test_one_class_label_column_is_data_error_before_fitting(tmp_path, capsys, monkeypatch, command, label):
+    for name in ("uadb.cli.fit_score", "uadb.cli.run_booster", "uadb.booster.run_booster"):
+        monkeypatch.setattr(name, lambda *args: pytest.fail("fitted before the label check"))
+    path = tmp_path / "one-class.csv"
+    uadb.save_csv(uadb.Dataset(features=Stream(5).normal(40).reshape(20, 2), labels=np.full(20, label)), path)
+    assert main([*command, "--data", str(path), "--label-column", "label"]) == 1
+    assert capsys.readouterr().err == "error: label column 'label' holds one class; metrics need both 0 and 1\n"
+
+
 # ---------------------------------------------------------------------------
 # ablate
+
+
+def test_ablate_trains_three_runs(clustered_csv, monkeypatch):
+    run_booster = uadb.booster.run_booster
+    strategies = []
+
+    def counted(ds, teacher, cfg):
+        strategies.append(cfg.strategy.value)
+        return run_booster(ds, teacher, cfg)
+
+    monkeypatch.setattr("uadb.booster.run_booster", counted)
+    monkeypatch.setattr("uadb.cli.run_booster", counted)
+    argv = ["ablate", "--data", str(clustered_csv), "--label-column", "label", "--teacher", "hbos", "--iterations", "1"]
+    assert main(argv) == 0
+    assert strategies == ["naive", "self", "uadb"]
 
 
 def test_ablate_six_rows_and_origin_consistency(clustered_csv, tmp_path):
