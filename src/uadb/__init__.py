@@ -25,6 +25,7 @@ from .data import (
     SyntheticKind,
     generate_synthetic,
     load_csv,
+    minmax_values,
     save_csv,
     scale_features,
 )
@@ -33,13 +34,7 @@ from .detectors import (
     DetectorKind,
     DetectorParams,
     fit_score,
-    fit_score_hbos,
-    fit_score_iforest,
-    fit_score_knn,
-    fit_score_lof,
-    fit_score_pca,
     import_scores,
-    minmax_values,
     save_scores,
 )
 from .metrics import (
@@ -84,11 +79,6 @@ __all__ = [
     "correction_rate",
     "correction_trace",
     "fit_score",
-    "fit_score_hbos",
-    "fit_score_iforest",
-    "fit_score_knn",
-    "fit_score_lof",
-    "fit_score_pca",
     "forward",
     "generate_synthetic",
     "gradient_check",

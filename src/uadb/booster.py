@@ -26,7 +26,7 @@ Besides the full method (strategy "uadb"), four reduced strategies support
 ablation: one training pass on the static teacher labels ("naive"),
 self-training on the booster's own normalized output ("self"), and each of
 those two scored by teacher/booster disagreement instead ("discrepancy",
-"discrepancy-star"), which ablation_scores derives without training again.
+"discrepancy-star"): the same run as naive or self, rescored at the end.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import DataError, Dataset
-from .detectors import OVERFLOW_HINT, minmax_values
+from .data import DataError, Dataset, minmax_values
+from .detectors import OVERFLOW_HINT
 from .metrics import _average_ranks, aucroc, average_precision, threshold_predictions
 from .nn import MlpModel, TrainSpec, _unit_targets, forward, init_mlp, train
 from .rng import Stream, derive
@@ -54,6 +54,9 @@ class Strategy(enum.Enum):
     DISCREPANCY = "discrepancy"
     SELF = "self"
     DISCREPANCY_STAR = "discrepancy-star"
+
+
+_DISCREPANCY_BASE = {Strategy.DISCREPANCY: Strategy.NAIVE, Strategy.DISCREPANCY_STAR: Strategy.SELF}
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,8 @@ class InputConditioner:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.center.shape[0]:
+            raise ValueError(f"expected shape (n, {self.center.shape[0]}), got {X.shape}")
         return (X - self.center) @ self.rotation / self.scale @ self.rotation.T
 
 
@@ -178,9 +183,9 @@ def _fold_mean(models: list[MlpModel] | tuple[MlpModel, ...], X: np.ndarray) -> 
     return np.stack([forward(m, X) for m in models]).mean(axis=0)
 
 
-def _discrepancy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # population std of the 2-element multiset {a_i, b_i} = |a_i - b_i| / 2
-    return np.abs(a - b) / 2.0
+def _discrepancy_scores(result: BoosterResult, ds: Dataset) -> np.ndarray:
+    """Min-max scaled population std |a - b| / 2 of each row's fold-mean output a and teacher label b."""
+    return minmax_values(np.abs(score_points(result, ds.features) - result.label_history[:, 0]) / 2.0)
 
 
 def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> BoosterResult:
@@ -192,6 +197,9 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
     variance alone. Each round, fold f trains on the other folds' rows (all
     rows when fold_count = 1) and then scores its own held-out rows.
     """
+    if cfg.strategy in _DISCREPANCY_BASE:  # trains as its base strategy, then is rescored
+        result = run_booster(ds, teacher, replace(cfg, strategy=_DISCREPANCY_BASE[cfg.strategy]))
+        return replace(result, final_scores=_discrepancy_scores(result, ds))
     teacher = np.asarray(teacher, dtype=np.float64)
     if teacher.shape != (ds.n,):
         raise ValueError(f"teacher must have shape ({ds.n},), got {teacher.shape}")
@@ -207,8 +215,8 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
     folds = _assign_folds(ds.n, cfg.fold_count, cfg.seed)
     models = [init_mlp(ds.d, derive(cfg.seed, _TAG_MODEL_INIT, f)) for f in range(cfg.fold_count)]
 
-    # naive/discrepancy keep the static labels; their history stays one column
-    single_pass = cfg.strategy in (Strategy.NAIVE, Strategy.DISCREPANCY)
+    # naive keeps the static labels; its history stays one column
+    single_pass = cfg.strategy is Strategy.NAIVE
     rounds = 1 if single_pass else cfg.T
     history = np.empty((ds.n, 1 if single_pass else rounds + 1))
     history[:, 0] = y1
@@ -233,16 +241,13 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
         if cfg.strategy is Strategy.UADB:
             variances[:, t - 1] = per_instance_variance(history[:, :t], p)
             current = update_pseudo_labels(current, variances[:, t - 1])
-        elif cfg.strategy in (Strategy.SELF, Strategy.DISCREPANCY_STAR):
+        elif cfg.strategy is Strategy.SELF:
             current = minmax_values(p)
         if not single_pass:
             history[:, t] = current
 
-    final = _fold_mean(models, X)
-    if cfg.strategy in (Strategy.DISCREPANCY, Strategy.DISCREPANCY_STAR):
-        final = _discrepancy(final, y1)
     return BoosterResult(
-        final_scores=minmax_values(final),
+        final_scores=minmax_values(_fold_mean(models, X)),
         label_history=history,
         variance_history=variances,
         diagnostics=tuple(diagnostics),
@@ -264,11 +269,10 @@ def ablation_scores(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> dic
     instead of training again. cfg.strategy is ignored.
     """
     scores = {}
-    for base, derived in ((Strategy.NAIVE, Strategy.DISCREPANCY), (Strategy.SELF, Strategy.DISCREPANCY_STAR)):
+    for derived, base in _DISCREPANCY_BASE.items():
         result = run_booster(ds, teacher, replace(cfg, strategy=base))
         scores[base] = result.final_scores
-        teacher_labels = result.label_history[:, 0]
-        scores[derived] = minmax_values(_discrepancy(score_points(result, ds.features), teacher_labels))
+        scores[derived] = _discrepancy_scores(result, ds)
     scores[Strategy.UADB] = run_booster(ds, teacher, replace(cfg, strategy=Strategy.UADB)).final_scores
     return scores
 

@@ -31,19 +31,12 @@ from .data import (
     SyntheticKind,
     generate_synthetic,
     load_csv,
+    minmax_values,
     read_text,
     save_csv,
     scale_features,
 )
-from .detectors import (
-    DetectorKind,
-    DetectorParams,
-    check_params,
-    fit_score,
-    import_scores,
-    minmax_values,
-    save_scores,
-)
+from .detectors import DetectorKind, DetectorParams, fit_score, import_scores, save_scores
 from .metrics import aucroc, average_precision, correction_rate, variance_gap
 from .nn import Loss, TrainSpec
 
@@ -109,20 +102,18 @@ def _load_dataset(cfg: dict) -> Dataset:
 
 def _detector_params(cfg: dict, kind: str) -> DetectorParams:
     """Settings for detector `kind`; those it refuses on any dataset are usage errors."""
-    params = DetectorParams(
-        kind=DetectorKind(kind),
-        trees=cfg["trees"],
-        subsample=cfg["subsample"],
-        bins=cfg["bins"],
-        k=cfg["k"],
-        components=cfg["components"],
-        seed=cfg["seed"],
-    )
     try:
-        check_params(params)
+        return DetectorParams(
+            kind=DetectorKind(kind),
+            trees=cfg["trees"],
+            subsample=cfg["subsample"],
+            bins=cfg["bins"],
+            k=cfg["k"],
+            components=cfg["components"],
+            seed=cfg["seed"],
+        )
     except DataError as exc:
         raise UsageError(str(exc)) from None
-    return params
 
 
 def _teacher_params(cfg: dict) -> DetectorParams | None:

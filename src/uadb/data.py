@@ -160,21 +160,29 @@ def save_csv(ds: Dataset, path: str | Path) -> None:
             writer.writerow(row)
 
 
+def minmax_values(x: np.ndarray) -> np.ndarray:
+    """Affine map of a vector, or of each matrix column, onto [0, 1]; a constant one maps to all 0.5.
+
+    Where max - min overflows float64, values are halved first (exact for normal numbers).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lo = x.min(axis=0)
+    with np.errstate(over="ignore"):  # an overflowing span is halved below
+        span = x.max(axis=0) - lo
+    if np.isinf(span).any():
+        half = np.where(np.isinf(span), 0.5, 1.0)
+        x, lo, span = x * half, lo * half, x.max(axis=0) * half - lo * half
+    constant = span == 0.0
+    return np.where(constant, 0.5, (x - lo) / np.where(constant, 1.0, span))
+
+
 def scale_features(ds: Dataset) -> Dataset:
-    """Min-max scale each feature column to [0, 1] independently.
+    """Min-max scale each feature column to [0, 1] independently (minmax_values).
 
     Constant columns map to all 0.5. Rank order within a column is
     preserved, and the map is idempotent.
     """
-    X = ds.features
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    span = hi - lo
-    constant = span == 0.0
-    span_safe = np.where(constant, 1.0, span)
-    scaled = (X - lo) / span_safe
-    scaled[:, constant] = 0.5
-    return replace(ds, features=scaled)
+    return replace(ds, features=minmax_values(ds.features))
 
 
 def _anomaly_count(n: int, anomaly_rate: float) -> int:

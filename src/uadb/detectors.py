@@ -1,8 +1,8 @@
-"""Five native unsupervised anomaly detectors plus score import/normalization.
+"""Five native unsupervised anomaly detectors plus score import/export.
 
 Isolation forest, histogram-based outlier score, local outlier factor,
-k-nearest-neighbor distance, and PCA reconstruction error. Each returns a
-raw 1-d float64 score array (higher = more anomalous) of length n.
+k-nearest-neighbor distance, and PCA reconstruction error, one call each:
+fit_score(ds, DetectorParams(kind, ...)) gives raw float64 scores, higher = more anomalous.
 External detector scores can be imported from a text file so any
 third-party model can act as a teacher.
 
@@ -45,12 +45,23 @@ class DetectorKind(enum.Enum):
     PCA = "pca"
 
 
+# the least value of each setting a kind reads, whatever the data; None (k, components) passes
+_MINIMUMS = {
+    DetectorKind.IFOREST: {"trees": 1, "subsample": 2},
+    DetectorKind.HBOS: {"bins": 1},
+    DetectorKind.LOF: {"k": 1},
+    DetectorKind.KNN: {"k": 1},
+    DetectorKind.PCA: {"components": 1},
+}
+
+
 @dataclass(frozen=True)
 class DetectorParams:
-    """Detector choice plus its kind-specific settings.
+    """Detector choice plus its kind-specific settings, checked at construction.
 
-    `k` and `components` default to None, which the kind's fit_score_*
-    function resolves to its own default.
+    Raises DataError for a kind that is not a DetectorKind and for trees < 1, subsample < 2,
+    bins < 1, k < 1 or components < 1, each only for the kinds that read it. k = None means
+    20 (lof) or 5 (knn), components = None max(1, d // 2); fit_score checks k < n, components < d.
     """
 
     kind: DetectorKind
@@ -61,25 +72,13 @@ class DetectorParams:
     components: int | None = None
     seed: int = 0
 
-
-def check_params(params: DetectorParams) -> None:
-    """Raise DataError on settings the chosen detector refuses whatever the data."""
-    if params.kind is DetectorKind.IFOREST and params.trees < 1:
-        raise DataError(f"need trees >= 1, got {params.trees}")
-    if params.kind is DetectorKind.IFOREST and params.subsample < 2:
-        raise DataError(f"need subsample >= 2, got {params.subsample}")
-    if params.kind is DetectorKind.HBOS and params.bins < 1:
-        raise DataError(f"need bins >= 1, got {params.bins}")
-
-
-def minmax_values(x: np.ndarray) -> np.ndarray:
-    """Affine map to [0, 1]; a constant vector maps to all 0.5."""
-    x = np.asarray(x, dtype=np.float64)
-    lo = x.min()
-    hi = x.max()
-    if hi == lo:
-        return np.full_like(x, 0.5)
-    return (x - lo) / (hi - lo)
+    def __post_init__(self):
+        if not isinstance(self.kind, DetectorKind):
+            raise DataError(f"unknown detector kind: {self.kind!r}")
+        for name, least in _MINIMUMS[self.kind].items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise DataError(f"need {name} >= {least}, got {value}")
 
 
 def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,9 +164,7 @@ def _iso_tree_depths(
     out[rows] = depth + path_c[m]
 
 
-def fit_score_iforest(
-    ds: Dataset, trees: int = 100, subsample: int = 256, seed: int = 0
-) -> np.ndarray:
+def _fit_iforest(ds: Dataset, params: DetectorParams) -> np.ndarray:
     """Isolation forest: score = 2^(-E[path length] / c(m)).
 
     Each tree is grown on a without-replacement subsample of min(subsample, n)
@@ -178,23 +175,22 @@ def fit_score_iforest(
     permutation as one block, then one scalar draw for each node's feature
     and one for its split, depth first with the left subtree first.
     """
-    check_params(DetectorParams(DetectorKind.IFOREST, trees=trees, subsample=subsample))
     X = ds.features
     n = ds.n
     if np.all(X == X[0]):
         warnings.warn("all rows identical: isolation scores are uninformative", DegenerateDataWarning)
-    m = min(subsample, n)
+    m = min(params.subsample, n)
     limit = math.ceil(math.log2(m))
     path_c = [_avg_path_length(size) for size in range(m + 1)]
     XT = np.ascontiguousarray(X.T)
     total = np.zeros(n)
     depths = np.empty(n)  # every row reaches one leaf, so each tree overwrites all of it
-    for t in range(trees):
-        stream = Stream(derive(seed, t))
+    for t in range(params.trees):
+        stream = Stream(derive(params.seed, t))
         rows = stream.permutation(n)[:m]
         _iso_tree_depths(XT, X[rows], np.arange(n), 0, limit, stream, path_c, depths)
         total += depths
-    expected = total / trees
+    expected = total / params.trees
     return np.power(2.0, -expected / path_c[m])
 
 
@@ -202,15 +198,15 @@ def fit_score_iforest(
 # histogram-based outlier score
 
 
-def fit_score_hbos(ds: Dataset, bins: int = 10) -> np.ndarray:
+def _fit_hbos(ds: Dataset, params: DetectorParams) -> np.ndarray:
     """Sum over features of -log(relative bin frequency) with equal-width bins.
 
     Bins span [min, max] per feature; empty-bin densities are floored at
     1/(2*n*bins) so scores stay bounded. Constant features contribute 0.
     """
-    check_params(DetectorParams(DetectorKind.HBOS, bins=bins))
     X = ds.features
     n, d = X.shape
+    bins = params.bins
     floor = 1.0 / (2.0 * n * bins)
     scores = np.zeros(n)
     for f in range(d):
@@ -231,9 +227,9 @@ def fit_score_hbos(ds: Dataset, bins: int = 10) -> np.ndarray:
 # local outlier factor
 
 
-def fit_score_lof(ds: Dataset, k: int | None = None) -> np.ndarray:
+def _fit_lof(ds: Dataset, params: DetectorParams) -> np.ndarray:
     """LOF over exactly k neighbors (default 20; exact KD-tree search), reachability floored at 1e-12."""
-    k = 20 if k is None else k
+    k = 20 if params.k is None else params.k
     dist, neighbors = _neighbors(ds.features, k)
     k_dist = dist[:, k - 1]
     reach = np.maximum(k_dist[neighbors], dist)
@@ -246,9 +242,9 @@ def fit_score_lof(ds: Dataset, k: int | None = None) -> np.ndarray:
 # k-nearest-neighbor distance
 
 
-def fit_score_knn(ds: Dataset, k: int | None = None) -> np.ndarray:
+def _fit_knn(ds: Dataset, params: DetectorParams) -> np.ndarray:
     """Euclidean distance to the k-th nearest neighbor (default 5), self excluded (exact KD-tree search)."""
-    k = 5 if k is None else k
+    k = 5 if params.k is None else params.k
     return _neighbors(ds.features, k)[0][:, k - 1]
 
 
@@ -256,14 +252,13 @@ def fit_score_knn(ds: Dataset, k: int | None = None) -> np.ndarray:
 # PCA reconstruction error
 
 
-def fit_score_pca(ds: Dataset, components: int | None = None) -> np.ndarray:
-    """Squared reconstruction error after projecting onto top principal axes."""
+def _fit_pca(ds: Dataset, params: DetectorParams) -> np.ndarray:
+    """Squared reconstruction error off the top `components` principal axes (default max(1, d // 2))."""
     X = ds.features
     n, d = X.shape
     if d < 2:
         raise DataError("PCA detector needs d >= 2")
-    if components is None:
-        components = max(1, d // 2)
+    components = max(1, d // 2) if params.components is None else params.components
     if not 1 <= components < d:
         raise DataError(f"need 1 <= components < d, got components={components}, d={d}")
     centered = X - X.mean(axis=0)
@@ -311,21 +306,18 @@ def save_scores(v: np.ndarray, path: str | Path) -> None:
             fh.write(f"{float(value)!r}\n")
 
 
+_KERNELS = {
+    DetectorKind.IFOREST: _fit_iforest,
+    DetectorKind.HBOS: _fit_hbos,
+    DetectorKind.LOF: _fit_lof,
+    DetectorKind.KNN: _fit_knn,
+    DetectorKind.PCA: _fit_pca,
+}
+
+
 def fit_score(ds: Dataset, params: DetectorParams) -> np.ndarray:
-    """Dispatch to the named detector with per-kind default settings; scores must be finite."""
-    kind = params.kind
-    if kind is DetectorKind.IFOREST:
-        scores = fit_score_iforest(ds, params.trees, params.subsample, params.seed)
-    elif kind is DetectorKind.HBOS:
-        scores = fit_score_hbos(ds, params.bins)
-    elif kind is DetectorKind.LOF:
-        scores = fit_score_lof(ds, params.k)
-    elif kind is DetectorKind.KNN:
-        scores = fit_score_knn(ds, params.k)
-    elif kind is DetectorKind.PCA:
-        scores = fit_score_pca(ds, params.components)
-    else:
-        raise DataError(f"unknown detector kind: {kind!r}")
+    """Raw scores of detector params.kind under params' settings; DataError unless all are finite."""
+    scores = _KERNELS[params.kind](ds, params)
     if not np.all(np.isfinite(scores)):
         raise DataError("scores contain non-finite values")
     return scores

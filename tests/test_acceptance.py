@@ -24,7 +24,6 @@ from uadb import (
     average_precision,
     correction_rate,
     fit_score,
-    fit_score_knn,
     generate_synthetic,
     gradient_check,
     init_mlp,
@@ -173,7 +172,7 @@ def test_criterion_4_knn_and_variance_oracles():
     worst_knn = 0.0
     for seed, n, d, k in [(1, 200, 3, 7), (2, 120, 2, 1), (3, 50, 5, 12)]:
         X = Stream(seed).normal(n * d).reshape(n, d)
-        got = fit_score_knn(Dataset(features=X), k=k)
+        got = fit_score(Dataset(features=X), DetectorParams(DetectorKind.KNN, k=k))
         oracle = np.empty(n)
         for i in range(n):
             dist = np.sqrt(((X - X[i]) ** 2).sum(axis=1))

@@ -32,7 +32,7 @@ from uadb import (
     update_pseudo_labels,
 )
 from uadb.booster import _assign_folds
-from uadb.nn import train
+from uadb.nn import forward, train
 from uadb.rng import Stream, derive
 
 
@@ -373,6 +373,13 @@ def test_score_points_uses_training_transform(clustered_default_run):
     assert s[1] > s[0]
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_score_points_refuses_wrong_width(clustered_default_run, width):
+    _, _, result = clustered_default_run
+    with pytest.raises(ValueError, match=rf"^expected shape \(n, 2\), got \(3, {width}\)$"):
+        score_points(result, np.zeros((3, width)))
+
+
 # ---------------------------------------------------------------------------
 # case bookkeeping
 
@@ -476,6 +483,24 @@ def test_hard_inputs_give_finite_repeatable_scores_or_clear_errors(X, seed):
 
 # ---------------------------------------------------------------------------
 # ablation
+
+
+@pytest.mark.parametrize(
+    ("strategy", "base"), [(Strategy.DISCREPANCY, Strategy.NAIVE), (Strategy.DISCREPANCY_STAR, Strategy.SELF)]
+)
+def test_discrepancy_scores_follow_their_definition(strategy, base):
+    """minmax(|fold-mean output - normalized teacher| / 2) of the base run; everything else is the base run's."""
+    ds = generate_synthetic(SyntheticKind.LOCAL, n=40, seed=6)
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
+    cfg = BoosterConfig(T=2, fold_count=2, train=TrainSpec(epochs=2), seed=6)
+    got = run_booster(ds, teacher, replace(cfg, strategy=strategy))
+    ref = run_booster(ds, teacher, replace(cfg, strategy=base))
+    X = ref.conditioner.apply(ds.features)
+    raw = np.mean([forward(m, X) for m in ref.models], axis=0)
+    want = np.abs(raw - minmax_values(teacher)) / 2.0
+    assert np.array_equal(got.final_scores, (want - want.min()) / (want.max() - want.min()))
+    assert np.array_equal(got.label_history, ref.label_history)
+    assert got.diagnostics == ref.diagnostics and got.variance_history.shape == (40, 0)
 
 
 @pytest.mark.parametrize("fold_count", [1, 3])

@@ -126,6 +126,27 @@ def test_non_utf8_input_is_data_error_naming_file(clustered_csv, tmp_path, capsy
     assert err.count("\n") == 1
 
 
+def test_finite_range_wider_than_float64_runs_cleanly(tmp_path, capsys):
+    """A feature column or teacher scores spanning [-1e308, 1e308] min-max scale without overflow."""
+    labels = (np.arange(40) % 5 == 0).astype(int)
+    X = Stream(8).normal(80).reshape(40, 2)
+    narrow = tmp_path / "narrow.csv"
+    uadb.save_csv(uadb.Dataset(features=X, labels=labels), narrow)
+    X[:, 0] = np.linspace(-1.0, 1.0, 40) * 1e308
+    wide = tmp_path / "wide.csv"
+    uadb.save_csv(uadb.Dataset(features=X, labels=labels), wide)
+    teacher = tmp_path / "teacher.txt"
+    uadb.save_scores(np.linspace(1.0, -1.0, 40) * 1e308, teacher)
+    common = ["--label-column", "label", "--iterations", "1", "--epochs", "2"]
+    for args in (
+        ["detect", "--data", str(wide), "--label-column", "label", "--detector", "hbos"],
+        ["boost", "--data", str(wide), "--teacher", "hbos", *common],
+        ["boost", "--data", str(narrow), "--teacher-scores", str(teacher), *common],
+    ):
+        assert main(args) == 0, args  # the suite turns numpy's overflow RuntimeWarnings into errors
+        assert capsys.readouterr().err == "", args
+
+
 # ---------------------------------------------------------------------------
 # boost
 
@@ -321,8 +342,11 @@ def test_bad_booster_setting_is_usage_error_before_reading_data(
         ("iforest", ["--trees", "0"], "need trees >= 1, got 0"),
         ("iforest", ["--subsample", "1"], "need subsample >= 2, got 1"),
         ("hbos", ["--bins", "0"], "need bins >= 1, got 0"),
+        ("lof", ["--k", "0"], "need k >= 1, got 0"),
+        ("knn", ["--k", "-3"], "need k >= 1, got -3"),
+        ("pca", ["--components", "0"], "need components >= 1, got 0"),
     ],
-    ids=["trees", "subsample", "bins"],
+    ids=["trees", "subsample", "bins", "k-zero", "k-negative", "components"],
 )
 def test_bad_detector_setting_is_usage_error_before_reading_data(
     tmp_path, capsys, monkeypatch, command, detector, setting, message

@@ -11,9 +11,11 @@ from uadb import (
     SyntheticKind,
     generate_synthetic,
     load_csv,
+    minmax_values,
     save_csv,
     scale_features,
 )
+from uadb.rng import Stream
 
 # ---------------------------------------------------------------------------
 # Dataset validation
@@ -115,6 +117,29 @@ def test_scale_features_constant_column():
 def test_scale_features_identity_on_unit_interval():
     ds = Dataset(features=np.array([[0.0], [1.0]]))
     assert scale_features(ds).features[:, 0].tolist() == [0.0, 1.0]
+
+
+def test_minmax_values_range_wider_than_float64():
+    # the suite turns an overflow or invalid-value RuntimeWarning on the way into an error
+    assert minmax_values(np.array([-1e308, 1e308, 0.0])).tolist() == [0.0, 1.0, 0.5]
+    ds = Dataset(features=np.array([[-1.7e308, 4.0], [1.7e308, 6.0], [0.0, 5.0]]))
+    assert scale_features(ds).features.tolist() == [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]
+
+
+def test_minmax_values_maps_each_matrix_column_as_its_own_vector():
+    stream = Stream(17)
+    X = np.column_stack([
+        stream.normal(9) * 1e-3,
+        np.full(9, 3.0),
+        np.round(stream.normal(9) * 4),
+        (stream.uniform(9) - 0.5) * 1.5e308 * 2.0,  # spans about 3e308, more than float64 holds
+        stream.normal(9) * 1e300,
+    ])
+    assert X[:, 3].max() / 2 - X[:, 3].min() / 2 > np.finfo(float).max / 2
+    scaled = minmax_values(X)
+    for j in range(X.shape[1]):
+        assert np.array_equal(scaled[:, j], minmax_values(X[:, j])), j
+    assert np.array_equal(scale_features(Dataset(features=X)).features, scaled)
 
 
 @given(

@@ -22,11 +22,6 @@ from uadb import (
     SyntheticKind,
     aucroc,
     fit_score,
-    fit_score_hbos,
-    fit_score_iforest,
-    fit_score_knn,
-    fit_score_lof,
-    fit_score_pca,
     generate_synthetic,
     import_scores,
     minmax_values,
@@ -193,21 +188,21 @@ def test_minmax_preserves_pairwise_order(values):
 
 def test_iforest_separates_clustered_anomalies():
     ds = generate_synthetic(SyntheticKind.CLUSTERED, seed=1)
-    s = fit_score_iforest(ds, seed=1)
+    s = fit_score(ds, DetectorParams(DetectorKind.IFOREST, seed=1))
     assert s[ds.labels == 1].mean() > s[ds.labels == 0].mean()
 
 
 def test_iforest_identical_rows_all_equal():
     ds = Dataset(features=np.tile([[1.0, 2.0]], (4, 1)))
     with pytest.warns(DegenerateDataWarning):
-        s = fit_score_iforest(ds, trees=5)
+        s = fit_score(ds, DetectorParams(DetectorKind.IFOREST, trees=5))
     assert np.all(s == s[0])
 
 
 def test_iforest_subsample_clamped_to_n():
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=50, seed=4)
-    big = fit_score_iforest(ds, trees=10, subsample=256, seed=0)
-    exact = fit_score_iforest(ds, trees=10, subsample=50, seed=0)
+    big = fit_score(ds, DetectorParams(DetectorKind.IFOREST, trees=10, subsample=256, seed=0))
+    exact = fit_score(ds, DetectorParams(DetectorKind.IFOREST, trees=10, subsample=50, seed=0))
     assert np.array_equal(big, exact)
 
 
@@ -223,12 +218,13 @@ def test_iforest_matches_build_then_descend_oracle():
                 for subsample in (2, 64, 256):
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", DegenerateDataWarning)
-                        got = fit_score_iforest(ds, trees=3, subsample=subsample, seed=n)
+                        params = DetectorParams(DetectorKind.IFOREST, trees=3, subsample=subsample, seed=n)
+                        got = fit_score(ds, params)
                     assert np.array_equal(got, _oracle_iforest(features, 3, subsample, n))
 
 
 def _iforest_grid_digest(kind: str, n: int, d: int) -> str:
-    """sha256 over fit_score_iforest bytes for seeds {0, 7} x subsample {2, 64, 256}."""
+    """sha256 over iforest score bytes for seeds {0, 7} x subsample {2, 64, 256}."""
     X = _random_points(1000 * n + d, n, d)
     if kind == "binary":
         X = (X > 0.5).astype(float)
@@ -239,7 +235,8 @@ def _iforest_grid_digest(kind: str, n: int, d: int) -> str:
         for subsample in (2, 64, 256):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateDataWarning)
-                scores = fit_score_iforest(Dataset(features=X), trees=8, subsample=subsample, seed=seed)
+                params = DetectorParams(DetectorKind.IFOREST, trees=8, subsample=subsample, seed=seed)
+                scores = fit_score(Dataset(features=X), params)
             digest.update(scores.tobytes())
     return digest.hexdigest()
 
@@ -293,13 +290,13 @@ def test_iforest_golden_grid(case):
 
 def test_iforest_deterministic_and_validated():
     ds = generate_synthetic(SyntheticKind.LOCAL, n=40, seed=2)
-    a = fit_score_iforest(ds, trees=20, seed=7)
-    b = fit_score_iforest(ds, trees=20, seed=7)
+    a = fit_score(ds, DetectorParams(DetectorKind.IFOREST, trees=20, seed=7))
+    b = fit_score(ds, DetectorParams(DetectorKind.IFOREST, trees=20, seed=7))
     assert np.array_equal(a, b)
     with pytest.raises(DataError):
-        fit_score_iforest(ds, trees=0)
+        fit_score(ds, DetectorParams(DetectorKind.IFOREST, trees=0))
     with pytest.raises(DataError):
-        fit_score_iforest(ds, subsample=1)
+        fit_score(ds, DetectorParams(DetectorKind.IFOREST, subsample=1))
 
 
 # ---------------------------------------------------------------------------
@@ -310,29 +307,29 @@ def test_hbos_flat_histogram_scores_equal():
     # 20 points spread evenly over 10 bins: every bin holds 2 points
     col = np.linspace(0.0, 1.0, 21)[:-1] + 0.025
     ds = Dataset(features=col[:, None])
-    s = fit_score_hbos(ds, bins=10)
+    s = fit_score(ds, DetectorParams(DetectorKind.HBOS, bins=10))
     np.testing.assert_allclose(s, s[0], atol=1e-12)
 
 
 def test_hbos_sparse_bin_scores_higher():
     col = np.array([0.0, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 5.0])
     ds = Dataset(features=col[:, None])
-    s = fit_score_hbos(ds, bins=5)
+    s = fit_score(ds, DetectorParams(DetectorKind.HBOS, bins=5))
     assert s[-1] > s[1:7].max()  # lone far point sits in a sparse bin
 
 
 def test_hbos_duplicate_feature_doubles_scores():
     col = np.array([0.0, 1.0, 1.5, 2.0, 9.0])
-    one = fit_score_hbos(Dataset(features=col[:, None]), bins=4)
-    two = fit_score_hbos(Dataset(features=np.column_stack([col, col])), bins=4)
+    one = fit_score(Dataset(features=col[:, None]), DetectorParams(DetectorKind.HBOS, bins=4))
+    two = fit_score(Dataset(features=np.column_stack([col, col])), DetectorParams(DetectorKind.HBOS, bins=4))
     np.testing.assert_allclose(two, 2.0 * one, rtol=1e-15)
 
 
 def test_hbos_constant_feature_contributes_zero():
     col = np.array([0.0, 1.0, 2.0, 9.0])
-    base = fit_score_hbos(Dataset(features=col[:, None]), bins=4)
-    padded = fit_score_hbos(
-        Dataset(features=np.column_stack([col, np.ones_like(col)])), bins=4
+    base = fit_score(Dataset(features=col[:, None]), DetectorParams(DetectorKind.HBOS, bins=4))
+    padded = fit_score(
+        Dataset(features=np.column_stack([col, np.ones_like(col)])), DetectorParams(DetectorKind.HBOS, bins=4)
     )
     assert np.array_equal(base, padded)
 
@@ -345,7 +342,7 @@ def test_lof_uniform_grid_interior_near_one():
     side = 7
     grid = np.array([[i, j] for i in range(side) for j in range(side)], dtype=float)
     k = 4
-    got = fit_score_lof(Dataset(features=grid), k=k)
+    got = fit_score(Dataset(features=grid), DetectorParams(DetectorKind.LOF, k=k))
     center = side * (side // 2) + side // 2
     assert 0.9 <= got[center] <= 1.1
     oracle = _oracle_lof(grid, k)
@@ -355,29 +352,29 @@ def test_lof_uniform_grid_interior_near_one():
 def test_lof_matches_oracle_on_random_data():
     for seed, n, k in [(0, 12, 3), (1, 25, 5), (2, 40, 7)]:
         X = _random_points(seed, n, 2)
-        got = fit_score_lof(Dataset(features=X), k=k)
+        got = fit_score(Dataset(features=X), DetectorParams(DetectorKind.LOF, k=k))
         np.testing.assert_allclose(got, _oracle_lof(X, k), rtol=1e-10)
 
 
 def test_lof_handles_duplicate_points():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-    s = fit_score_lof(Dataset(features=X), k=2)
+    s = fit_score(Dataset(features=X), DetectorParams(DetectorKind.LOF, k=2))
     assert np.all(np.isfinite(s))
 
 
 def test_lof_beats_hbos_on_local_anomalies():
     ds = generate_synthetic(SyntheticKind.LOCAL, seed=1)
-    lof_auc = aucroc(fit_score_lof(ds, k=20), ds.labels)
-    hbos_auc = aucroc(fit_score_hbos(ds), ds.labels)
+    lof_auc = aucroc(fit_score(ds, DetectorParams(DetectorKind.LOF, k=20)), ds.labels)
+    hbos_auc = aucroc(fit_score(ds, DetectorParams(DetectorKind.HBOS)), ds.labels)
     assert lof_auc > hbos_auc
 
 
 def test_lof_k_validation():
     ds = generate_synthetic(SyntheticKind.LOCAL, n=20, seed=0)
     with pytest.raises(DataError):
-        fit_score_lof(ds, k=20)
+        fit_score(ds, DetectorParams(DetectorKind.LOF, k=20))
     with pytest.raises(DataError):
-        fit_score_lof(ds, k=0)
+        fit_score(ds, DetectorParams(DetectorKind.LOF, k=0))
 
 
 # ---------------------------------------------------------------------------
@@ -386,20 +383,20 @@ def test_lof_k_validation():
 
 def test_knn_collinear_equidistant_points():
     X = np.array([[0.0], [1.0], [2.0]])
-    s = fit_score_knn(Dataset(features=X), k=1)
+    s = fit_score(Dataset(features=X), DetectorParams(DetectorKind.KNN, k=1))
     assert s.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_knn_isolated_point_scores_highest():
     X = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [8.0, 8.0]])
-    s = fit_score_knn(Dataset(features=X), k=2)
+    s = fit_score(Dataset(features=X), DetectorParams(DetectorKind.KNN, k=2))
     assert s.argmax() == 3
 
 
 def test_knn_matches_oracle():
     for seed, n, k in [(3, 30, 1), (4, 120, 5), (5, 200, 9)]:
         X = _random_points(seed, n, 3)
-        got = fit_score_knn(Dataset(features=X), k=k)
+        got = fit_score(Dataset(features=X), DetectorParams(DetectorKind.KNN, k=k))
         assert np.array_equal(got, _oracle_knn(X, k))
 
 
@@ -453,7 +450,7 @@ def test_neighbor_blocks_split_anywhere_same_bits(monkeypatch):
 
     def scores(A, k):
         ds = Dataset(features=A)
-        return fit_score_lof(ds, k=k), fit_score_knn(ds, k=k)
+        return tuple(fit_score(ds, DetectorParams(kind, k=k)) for kind in (DetectorKind.LOF, DetectorKind.KNN))
 
     want = [scores(A, k) for A, k in runs]
     queries = []
@@ -486,34 +483,35 @@ def test_neighbors_tied_kth_boundary_match_oracles():
     cases += [(np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]]), k) for k in (1, 2)]
     for X, k in cases:
         ds = Dataset(features=X)
-        np.testing.assert_allclose(fit_score_lof(ds, k=k), _oracle_lof(X, k), rtol=1e-10)
-        assert np.array_equal(fit_score_knn(ds, k=k), _oracle_knn(X, k))
+        lof = fit_score(ds, DetectorParams(DetectorKind.LOF, k=k))
+        np.testing.assert_allclose(lof, _oracle_lof(X, k), rtol=1e-10)
+        assert np.array_equal(fit_score(ds, DetectorParams(DetectorKind.KNN, k=k)), _oracle_knn(X, k))
 
 
 def test_neighbor_distance_overflow_is_clear_error():
     far = Dataset(features=np.array([[0.0], [1e160], [-1e160], [3e160]]))
-    for fit in (fit_score_lof, fit_score_knn):
+    for kind in (DetectorKind.LOF, DetectorKind.KNN):
         with pytest.raises(DataError, match="overflow float64; rescale"):
-            fit(far, k=1)
+            fit_score(far, DetectorParams(kind, k=1))
     # squared magnitudes overflow the covariance behind PCA and the booster's conditioner too
     huge = Dataset(features=_random_points(12, 60, 2) * 1e160)
     with pytest.raises(DataError, match="overflow float64; rescale"):
-        fit_score_pca(huge, components=1)
-    teacher = fit_score_hbos(huge)
+        fit_score(huge, DetectorParams(DetectorKind.PCA, components=1))
+    teacher = fit_score(huge, DetectorParams(DetectorKind.HBOS))
     for strategy in Strategy:
         with pytest.raises(DataError, match="overflow float64; rescale"):
             run_booster(huge, teacher, BoosterConfig(T=1, strategy=strategy))
     # an overflowing distance beyond the k-th neighbor is harmless
     pairs = Dataset(features=np.array([[0.0], [1.0], [1e160], [1.000000000000001e160]]))
-    assert np.all(np.isfinite(fit_score_lof(pairs, k=1)))
-    assert np.all(np.isfinite(fit_score_knn(pairs, k=1)))
+    assert np.all(np.isfinite(fit_score(pairs, DetectorParams(DetectorKind.LOF, k=1))))
+    assert np.all(np.isfinite(fit_score(pairs, DetectorParams(DetectorKind.KNN, k=1))))
 
 
 def test_lof_peak_memory_bounded():
     ds = Dataset(features=_random_points(11, 3000, 2))
     tracemalloc.start()
     try:
-        fit_score_lof(ds, k=20)
+        fit_score(ds, DetectorParams(DetectorKind.LOF, k=20))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -524,7 +522,8 @@ def test_neighbor_tie_next_to_overflow_matches_oracles():
     # row 0 ties rows 1 and 2 at distance 1; every distance to a 1e160 row overflows when squared
     X = np.array([[0.0], [1.0], [-1.0], [1e160], [1.0000000000001e160]])
     ds = Dataset(features=X)
-    lof, knn = fit_score_lof(ds, k=1), fit_score_knn(ds, k=1)
+    lof = fit_score(ds, DetectorParams(DetectorKind.LOF, k=1))
+    knn = fit_score(ds, DetectorParams(DetectorKind.KNN, k=1))
     assert np.all(np.isfinite(lof)) and np.all(np.isfinite(knn))
     got, want = detectors._neighbors(X, 1), _oracle_neighbors(X, 1)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -538,7 +537,7 @@ def test_lof_peak_memory_bounded_on_tied_binary():
     ds = Dataset(features=_binary_points(14, 6000, 12, 0.1))
     tracemalloc.start()
     try:
-        fit_score_lof(ds, k=20)
+        fit_score(ds, DetectorParams(DetectorKind.LOF, k=20))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -552,7 +551,7 @@ def test_lof_peak_memory_bounded_on_tied_binary():
 def test_pca_on_line_scores_zero():
     t = np.linspace(-2.0, 2.0, 15)
     X = np.column_stack([t, 3.0 * t])
-    s = fit_score_pca(Dataset(features=X), components=1)
+    s = fit_score(Dataset(features=X), DetectorParams(DetectorKind.PCA, components=1))
     assert np.all(s < 1e-10)
 
 
@@ -560,7 +559,7 @@ def test_pca_off_line_point_scores_positive():
     t = np.linspace(-2.0, 2.0, 15)
     X = np.column_stack([t, 3.0 * t])
     X[7] = [0.0, 2.0]  # knock one point off the line
-    s = fit_score_pca(Dataset(features=X), components=1)
+    s = fit_score(Dataset(features=X), DetectorParams(DetectorKind.PCA, components=1))
     assert s[7] > 1e-3
     assert s[7] == s.max()
 
@@ -568,17 +567,100 @@ def test_pca_off_line_point_scores_positive():
 def test_pca_matches_projector_oracle():
     for seed, n, d, c in [(6, 25, 3, 1), (7, 40, 5, 2), (8, 30, 4, 3)]:
         X = _random_points(seed, n, d)
-        got = fit_score_pca(Dataset(features=X), components=c)
+        got = fit_score(Dataset(features=X), DetectorParams(DetectorKind.PCA, components=c))
         np.testing.assert_allclose(got, _oracle_pca_residual(X, c), atol=1e-10)
 
 
 def test_pca_validation():
     ds = Dataset(features=np.arange(10.0)[:, None])
     with pytest.raises(DataError):
-        fit_score_pca(ds)
+        fit_score(ds, DetectorParams(DetectorKind.PCA))
     wide = Dataset(features=_random_points(9, 10, 3))
     with pytest.raises(DataError):
-        fit_score_pca(wide, components=3)
+        fit_score(wide, DetectorParams(DetectorKind.PCA, components=3))
+
+
+# settings hashed per detector by _detector_grid_digest; a k or components the data cannot take is skipped
+_GRID_SETTINGS = {
+    "hbos": [{"bins": b} for b in (1, 3, 10, 50)],
+    "lof": [{"k": k} for k in (1, 5, 20)],
+    "knn": [{"k": k} for k in (1, 5, 20)],
+    "pca": [{"components": c} for c in (1, 3, 6)],
+}
+
+
+def _detector_grid_digest(detector: str, kind: str, n: int, d: int) -> str:
+    """sha256 over the detector's score bytes for each of its _GRID_SETTINGS that fits (n, d)."""
+    X = _random_points(2000 * n + d, n, d)
+    if kind == "binary":
+        X = (X > 0.5).astype(float)
+    elif kind == "duplicate":
+        X[n // 2 :] = X[: n - n // 2]
+    digest = hashlib.sha256()
+    for setting in _GRID_SETTINGS[detector]:
+        if setting.get("k", 1) < n and setting.get("components", 1) < d:
+            scores = fit_score(Dataset(features=X), DetectorParams(DetectorKind(detector), **setting))
+            digest.update(scores.tobytes())
+    return digest.hexdigest()
+
+
+# _detector_grid_digest per (detector, input kind, n, d), captured before the detectors moved behind fit_score
+_DETECTOR_GOLDEN = {
+    ("hbos", "normal", 17, 2): "a4a29a2e0d2126608beda3963345e14b9a6e365b8338b02ee355462f52b6f53d",
+    ("hbos", "normal", 17, 7): "1582b3e8ae80b962d85da30604a57b019b6fcb3999792371161eb6b01c8aab93",
+    ("hbos", "normal", 300, 2): "108f4998f1d9936edcd42e775fe21369da4bb294c9be0b02249ed9d06ec1a76e",
+    ("hbos", "normal", 300, 7): "ae7b568846d54f2a7a1f3e4e46c548c9132de137b0deb34e92ea99ae839be41a",
+    ("hbos", "duplicate", 17, 2): "a628b09c31a18b25d721c044e3d5a0bbc4c1cfb00a5ef615abb53eeb65ca5b79",
+    ("hbos", "duplicate", 17, 7): "093afe4697116b0578816f110dceca813595ff7c170bd5fed36cb4f218a38b60",
+    ("hbos", "duplicate", 300, 2): "61aeea58dbf6a90d94df1874e652f282721ecae3e7af8ab3e65c8fc16641476a",
+    ("hbos", "duplicate", 300, 7): "b49a75752e431b46923398ccd9b62ae5edf6892ba2224f78e4ab7f4e0569a1f7",
+    ("hbos", "binary", 17, 2): "0be5fed855ca4db15408197c11427f6b9842d56773092b43e2986385be43611b",
+    ("hbos", "binary", 17, 7): "1adc407001365b87c693335d8c03d76b4a22fe032a6e4fd2c99aabaffad58cd7",
+    ("hbos", "binary", 300, 2): "8f3c7337957319f9e31d3a63505b19a6a56c39d61baff5c53884bc7edbb9da6f",
+    ("hbos", "binary", 300, 7): "aa7cac13a4da27f53ca1e51ae42d190739d3b358abd73afdfe9ddb97533688bd",
+    ("lof", "normal", 17, 2): "85a41f41d7c7187c42bd34d00c792c81e4f593fd4316c6f2c846b26d73cd36e1",
+    ("lof", "normal", 17, 7): "a9ede998c03a33dc70b2aa7d41c3d13645f050e27345d325bc5ae823e166a8d9",
+    ("lof", "normal", 300, 2): "ab2914f107d5ecf43fc28f746238f28bf9e7c029f0c2d8aabd38d5faf1b0ea9c",
+    ("lof", "normal", 300, 7): "a25f8bfa5aca8599b8101465f72f5ba62f0562cfd069cb5a5d4c22f596bd3ad1",
+    ("lof", "duplicate", 17, 2): "c9031ed503cb74ed344c4576bd2763cd032c8ddd29100723efb361e17c782903",
+    ("lof", "duplicate", 17, 7): "3862cbfbbf7485519dafbe9ba2a01ba836f5cf89c1f3b12be27e004ea9839093",
+    ("lof", "duplicate", 300, 2): "75d241523eab3029df56c705a28ffbdc20d6344735f24d4fb55c981138e5d6df",
+    ("lof", "duplicate", 300, 7): "b13d98dbb112e56bcedba31bc7b66afa9846d9b95613f257345fea88deee38ad",
+    ("lof", "binary", 17, 2): "a7172db2c6cc9ae83dd57fc4b885baba33e03b7a280cdca173f0a3930d3d613d",
+    ("lof", "binary", 17, 7): "20f8450023545ceb385e626bc7e6a57731fd39efbc20a442bdb4bed47e001c8f",
+    ("lof", "binary", 300, 2): "7106df47ff7bb3daa3d2a86dbb4102f7814fd5529ed5341439ce14279c566b56",
+    ("lof", "binary", 300, 7): "095c701e72aa788b5947c375c111bee1a5e76b615290cce8571be10540c7c0a9",
+    ("knn", "normal", 17, 2): "7f17c867068c452db9e0b4aee9752e2504f70132273f9162b2c7580d22b3d93d",
+    ("knn", "normal", 17, 7): "11549702de8afe89f912645f3161992a85d308f0090bd7254a821a0b0517be0c",
+    ("knn", "normal", 300, 2): "e2237d51c5b1fc23ff2c7406a94a3e5a2ef88f9111a17eeedcc8d60bc61abb11",
+    ("knn", "normal", 300, 7): "7327baa46949335bd53e37af12e9e8beb3d92d9c492cb169b3fcdcc56eab27b9",
+    ("knn", "duplicate", 17, 2): "14bc54655d34fc64c5dc156d6f4470039275d1958eb27304f906ebc627bffef8",
+    ("knn", "duplicate", 17, 7): "d1a0a5f4446e7dee757397114ba6472ab3335ff1163984d1bba2118f56565618",
+    ("knn", "duplicate", 300, 2): "d46fad7e98003bb429465796a4bc96b19e347fd402ae056344f4b3a9aef8efa4",
+    ("knn", "duplicate", 300, 7): "08bf65a0138d7fa8d22a24460effde3f42e59ca23d9653dcfc531c916b41a874",
+    ("knn", "binary", 17, 2): "43958d49da90e48c23cdf403fefa78b71a5e249f523844f24aacf55423395d99",
+    ("knn", "binary", 17, 7): "6bdaf43a93428d7956a39dccde2020a09fc91dd4c3420a53663ab5a8f5ef66a9",
+    ("knn", "binary", 300, 2): "e4331b4b5dff91084b34db4018c5905a016cdf9c0d74d02c0d5af88dabfc6bc6",
+    ("knn", "binary", 300, 7): "9c5ee0a8bd01d38ee715099d3485ed181bb0011ec8c0405f2a50abf024382c63",
+    ("pca", "normal", 17, 2): "c8c2b3525b806fe9172523aa88d30b8f56c71531c0c8e48a3b36bf530fdac7cc",
+    ("pca", "normal", 17, 7): "75eb69e25a7a9d7a4489f56c8783a228aac1ab2f123dae2999f878a68acb8641",
+    ("pca", "normal", 300, 2): "a0c896e96a6eb815ef36519d45870091ac7a5ccab219dd982c8e672d553e67de",
+    ("pca", "normal", 300, 7): "c0f88f3d7d28b67d62549db664419ee260c108a132569b78ee92b3fefa3ae159",
+    ("pca", "duplicate", 17, 2): "8dd29e9f9edd40f61d25174bbb0acb6b3b58c3017ec91cec2d806e6d3c209118",
+    ("pca", "duplicate", 17, 7): "c7f1b2d382d0ba9bc44c8dcc8ba5dda69c68ee666593c8a3ea797c18854cad3c",
+    ("pca", "duplicate", 300, 2): "5a6028b323a5a16f398fecc0b850e34d6af52e971e607b684f55a306699f5166",
+    ("pca", "duplicate", 300, 7): "e8148c24b8b4b33bf25672fa50e4c3088f7630f72eb739a9ebbc262f0b6d689d",
+    ("pca", "binary", 17, 2): "eb8be1c01d089e5bfbeed0469c9c9c532bfa9dba0e7d6ed8b1d62e36c2a9b260",
+    ("pca", "binary", 17, 7): "902cc60f354547f17f2b18ef1389292b22e644b40ea859deb1991ba196ddfac6",
+    ("pca", "binary", 300, 2): "d885a07ef857dce053f3733724db0307b71e9dabfc20b43178778a43a560b4ff",
+    ("pca", "binary", 300, 7): "591266bbb200ef294402dfcad4ab092885c76a15d3c777f25dcf85969179701d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DETECTOR_GOLDEN), ids=lambda case: "-".join(map(str, case)))
+def test_detector_golden_grid(case):
+    """hbos, lof, knn and pca scores stay bit for bit what they were."""
+    assert _detector_grid_digest(*case) == _DETECTOR_GOLDEN[case]
 
 
 # ---------------------------------------------------------------------------
@@ -608,22 +690,44 @@ def test_import_scores_header_and_errors(tmp_path):
 
 
 def test_fit_score_dispatch_defaults():
+    """k = None and components = None resolve to the documented values; every other setting reaches the kernel."""
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=60, seed=5)
-    lof = fit_score(ds, DetectorParams(kind=DetectorKind.LOF))
-    assert np.array_equal(lof, fit_score_lof(ds, k=20))
-    knn = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
-    assert np.array_equal(knn, fit_score_knn(ds, k=5))
-    pca = fit_score(ds, DetectorParams(kind=DetectorKind.PCA))
-    assert np.array_equal(pca, fit_score_pca(ds, components=1))
-    ifo = fit_score(ds, DetectorParams(kind=DetectorKind.IFOREST, seed=3))
-    assert np.array_equal(ifo, fit_score_iforest(ds, seed=3))
-    hb = fit_score(ds, DetectorParams(kind=DetectorKind.HBOS, bins=7))
-    assert np.array_equal(hb, fit_score_hbos(ds, bins=7))
+    explicit = {DetectorKind.LOF: {"k": 20}, DetectorKind.KNN: {"k": 5}, DetectorKind.PCA: {"components": 1}}
+    for kind, setting in explicit.items():
+        assert np.array_equal(fit_score(ds, DetectorParams(kind)), fit_score(ds, DetectorParams(kind, **setting))), kind
+    ifo, hbos = DetectorKind.IFOREST, DetectorKind.HBOS
+    for kind, setting in [(ifo, {"seed": 3}), (ifo, {"trees": 7}), (ifo, {"subsample": 9}), (hbos, {"bins": 7})]:
+        assert not np.array_equal(fit_score(ds, DetectorParams(kind)), fit_score(ds, DetectorParams(kind, **setting)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_fit_score_rejects_non_finite_scores(monkeypatch, bad):
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=5)
-    monkeypatch.setattr(detectors, "fit_score_hbos", lambda ds, bins: np.full(ds.n, bad))
+    monkeypatch.setitem(detectors._KERNELS, DetectorKind.HBOS, lambda ds, params: np.full(ds.n, bad))
     with pytest.raises(DataError, match="scores contain non-finite values"):
         fit_score(ds, DetectorParams(kind=DetectorKind.HBOS))
+
+
+@pytest.mark.parametrize(
+    ("kind", "setting", "message"),
+    [
+        (DetectorKind.IFOREST, {"trees": 0}, "need trees >= 1, got 0"),
+        (DetectorKind.IFOREST, {"subsample": 1}, "need subsample >= 2, got 1"),
+        (DetectorKind.HBOS, {"bins": 0}, "need bins >= 1, got 0"),
+        (DetectorKind.LOF, {"k": 0}, "need k >= 1, got 0"),
+        (DetectorKind.KNN, {"k": -3}, "need k >= 1, got -3"),
+        (DetectorKind.PCA, {"components": 0}, "need components >= 1, got 0"),
+        ("lof", {}, "unknown detector kind: 'lof'"),
+    ],
+)
+def test_detector_params_refuse_bad_settings_at_construction(kind, setting, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        DetectorParams(kind, **setting)
+
+
+def test_detector_params_check_only_the_settings_a_kind_reads():
+    for kind in DetectorKind:
+        DetectorParams(kind, k=None, components=None)  # None resolves when fitted
+    DetectorParams(DetectorKind.HBOS, trees=0, subsample=0, k=0, components=0)
+    DetectorParams(DetectorKind.PCA, trees=0, bins=0, k=0)
+    DetectorParams(DetectorKind.LOF, bins=0, components=0)
