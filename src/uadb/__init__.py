@@ -24,19 +24,14 @@ from .data import (
     Dataset,
     SyntheticKind,
     generate_synthetic,
+    import_scores,
     load_csv,
     minmax_values,
     save_csv,
+    save_scores,
     scale_features,
 )
-from .detectors import (
-    DegenerateDataWarning,
-    DetectorKind,
-    DetectorParams,
-    fit_score,
-    import_scores,
-    save_scores,
-)
+from .detectors import DegenerateDataWarning, DetectorKind, DetectorParams, fit_score
 from .metrics import (
     VacuousCorrectionWarning,
     aucroc,

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import DataError, Dataset, minmax_values
-from .detectors import OVERFLOW_HINT
+from .data import OVERFLOW_HINT, DataError, Dataset, minmax_values
 from .metrics import _average_ranks, aucroc, average_precision, threshold_predictions
 from .nn import MlpModel, TrainSpec, _unit_targets, forward, init_mlp, train
 from .rng import Stream, derive

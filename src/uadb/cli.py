@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 usage errors, 1 data/runtime errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -30,13 +29,16 @@ from .data import (
     Dataset,
     SyntheticKind,
     generate_synthetic,
+    import_scores,
     load_csv,
     minmax_values,
     read_text,
     save_csv,
+    save_scores,
     scale_features,
+    write_csv,
 )
-from .detectors import DetectorKind, DetectorParams, fit_score, import_scores, save_scores
+from .detectors import DetectorKind, DetectorParams, fit_score
 from .metrics import aucroc, average_precision, correction_rate, variance_gap
 from .nn import Loss, TrainSpec
 
@@ -48,8 +50,6 @@ class UsageError(Exception):
 def _load_config(path: str) -> dict:
     try:
         blob = json.loads(read_text(path))
-    except FileNotFoundError:
-        raise DataError(f"no such config file: {path}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if isinstance(blob, dict) and isinstance(blob.get("config"), dict):
@@ -168,11 +168,7 @@ def _run_metrics(ds: Dataset, teacher: np.ndarray, result: BoosterResult) -> dic
 def _save_history(result: BoosterResult, path: str) -> None:
     """Label history as CSV, one column per iteration (y1 = teacher)."""
     matrix = result.label_history
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"y{t + 1}" for t in range(matrix.shape[1])])
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, [f"y{t + 1}" for t in range(matrix.shape[1])], matrix.tolist())
 
 
 def _save_grid(result: BoosterResult, ds: Dataset, path: str, grid_size: int) -> None:
@@ -183,12 +179,7 @@ def _save_grid(result: BoosterResult, ds: Dataset, path: str, grid_size: int) ->
     ys = np.linspace(lo[1], hi[1], grid_size)
     gx, gy = np.meshgrid(xs, ys)
     points = np.column_stack([gx.ravel(), gy.ravel()])
-    scores = score_points(result, points)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "score"])
-        for (x1, x2), s in zip(points, scores):
-            writer.writerow([repr(float(x1)), repr(float(x2)), repr(float(s))])
+    write_csv(path, ["x1", "x2", "score"], np.column_stack([points, score_points(result, points)]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +188,10 @@ def _save_grid(result: BoosterResult, ds: Dataset, path: str, grid_size: int) ->
 
 def cmd_synth(cfg: dict) -> tuple[dict, list[str]]:
     _require(cfg, "kind")
-    ds = generate_synthetic(SyntheticKind(cfg["kind"]), cfg["n"], cfg["rate"], cfg["seed"])
+    try:  # n and rate are settings: bad ones are usage errors, like a bad detector setting
+        ds = generate_synthetic(SyntheticKind(cfg["kind"]), cfg["n"], cfg["rate"], cfg["seed"])
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
     if cfg["out"] is not None:
         save_csv(ds, cfg["out"])
     report = {

@@ -1,4 +1,4 @@
-"""Tabular datasets: CSV ingestion, feature scaling, synthetic generators.
+"""Tabular datasets and their files, feature scaling, synthetic generators.
 
 A dataset is a finite numeric feature matrix plus optional 0/1 ground-truth
 labels. Labels are never shown to detectors or the booster; they exist only
@@ -9,6 +9,11 @@ regimes: a dense anomaly cluster far from the inliers, anomalies scattered
 uniformly over a box, anomalies overlapping the inliers but locally too
 spread out, and anomalies that break the inter-feature dependency the
 inliers follow.
+
+This is the only module that knows a file format: read_text is the one
+reader and write_csv the one CSV writer, behind dataset CSVs (load_csv,
+save_csv), score files of one score per line (import_scores, save_scores)
+and the CLI's history and grid CSVs.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ from .rng import Stream, derive
 
 class DataError(ValueError):
     """Raised when a file or argument violates a dataset precondition."""
+
+
+# tail of the error raised where squared feature magnitudes leave float64
+OVERFLOW_HINT = "overflow float64; rescale the features (CLI: --scale)"
 
 
 class SyntheticKind(enum.Enum):
@@ -89,8 +98,6 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
     rejected rather than imputed.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         header = next(reader)
@@ -137,27 +144,56 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
 
 
 def read_text(path: str | Path) -> str:
-    """A whole UTF-8 text file; other bytes raise a DataError naming the path."""
+    """A whole UTF-8 text file less one leading byte-order mark; DataError if missing or not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
-def save_csv(ds: Dataset, path: str | Path) -> None:
-    """Write a dataset as CSV (features x1..xd, plus a label column if present)."""
-    path = Path(path)
+def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    """Write a header and rows of Python numbers (ndarray.tolist()), each cell its repr, CRLF line ends."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = [f"x{j + 1}" for j in range(ds.d)]
-        if ds.labels is not None:
-            header.append("label")
         writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.features[i]]
-            if ds.labels is not None:
-                row.append(str(int(ds.labels[i])))
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def save_csv(ds: Dataset, path: str | Path) -> None:
+    """Write a dataset as CSV (features x1..xd, plus a label column if present)."""
+    header, rows = [f"x{j + 1}" for j in range(ds.d)], ds.features.tolist()
+    if ds.labels is not None:
+        header.append("label")
+        rows = [row + [label] for row, label in zip(rows, ds.labels.tolist())]
+    write_csv(path, header, rows)
+
+
+def import_scores(path: str | Path, n_expected: int) -> np.ndarray:
+    """Read one score per line (single-column CSV with a header also accepted)."""
+    path = Path(path)
+    lines = [ln for ln in map(str.strip, read_text(path).splitlines()) if ln]
+    values = []
+    for i, line in enumerate(lines):
+        try:
+            v = float(line)
+        except ValueError:
+            if i == 0:
+                continue  # header row
+            raise DataError(f"{path}: line {i + 1}: non-numeric entry {line!r}") from None
+        if not math.isfinite(v):
+            raise DataError(f"{path}: line {i + 1}: non-finite entry {line!r}")
+        values.append(v)
+    if len(values) != n_expected:
+        raise DataError(f"{path}: expected {n_expected} scores, found {len(values)}")
+    return np.array(values, dtype=np.float64)
+
+
+def save_scores(v: np.ndarray, path: str | Path) -> None:
+    """Write one decimal score per line, row order preserved."""
+    values = np.asarray(v, dtype=np.float64).tolist()  # float() below refuses the rows of a matrix
+    Path(path).write_text("".join(f"{float(value)!r}\n" for value in values), encoding="utf-8")
 
 
 def minmax_values(x: np.ndarray) -> np.ndarray:

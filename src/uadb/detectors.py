@@ -1,10 +1,9 @@
-"""Five native unsupervised anomaly detectors plus score import/export.
+"""Five native unsupervised anomaly detectors; scoring only, no file I/O.
 
 Isolation forest, histogram-based outlier score, local outlier factor,
 k-nearest-neighbor distance, and PCA reconstruction error, one call each:
 fit_score(ds, DetectorParams(kind, ...)) gives raw float64 scores, higher = more anomalous.
-External detector scores can be imported from a text file so any
-third-party model can act as a teacher.
+Scores of any other model act as a teacher through uadb.data.import_scores.
 
 All detectors are deterministic given (dataset, parameters, seed), use
 Euclidean distance, and break distance ties by lowest row index.
@@ -16,21 +15,18 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from .data import DataError, Dataset, read_text
+from .data import OVERFLOW_HINT, DataError, Dataset
 from .rng import Stream, derive
 
 # reachability floor for coincident points; keeps LOF finite on duplicates
 LOF_DISTANCE_FLOOR = 1e-12
 # squared differences held at once by the neighbor search
 NEIGHBOR_BLOCK_ELEMENTS = 2**21
-# tail of the error raised where squared feature magnitudes leave float64
-OVERFLOW_HINT = "overflow float64; rescale the features (CLI: --scale)"
 
 
 class DegenerateDataWarning(UserWarning):
@@ -273,37 +269,7 @@ def _fit_pca(ds: Dataset, params: DetectorParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# plumbing
-
-
-def import_scores(path: str | Path, n_expected: int) -> np.ndarray:
-    """Read one score per line (single-column CSV with a header also accepted)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    lines = [ln.strip() for ln in read_text(path).splitlines()]
-    lines = [ln for ln in lines if ln]
-    values = []
-    for i, line in enumerate(lines):
-        try:
-            v = float(line)
-        except ValueError:
-            if i == 0:
-                continue  # header row
-            raise DataError(f"{path}: line {i + 1}: non-numeric entry {line!r}") from None
-        if not math.isfinite(v):
-            raise DataError(f"{path}: line {i + 1}: non-finite entry {line!r}")
-        values.append(v)
-    if len(values) != n_expected:
-        raise DataError(f"{path}: expected {n_expected} scores, found {len(values)}")
-    return np.array(values, dtype=np.float64)
-
-
-def save_scores(v: np.ndarray, path: str | Path) -> None:
-    """Write one decimal score per line, row order preserved."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for value in v:
-            fh.write(f"{float(value)!r}\n")
+# dispatch
 
 
 _KERNELS = {

@@ -1,5 +1,6 @@
 """Command-line behavior: wiring, exit codes, artifacts, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -55,6 +56,22 @@ def test_synth_unknown_kind_is_usage_error():
 def test_synth_requires_kind(capsys):
     assert main(["synth"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("setting", "message"),
+    [
+        (["--n", "5"], "need n >= 20, got 5"),
+        (["--rate", "0.7"], "need 0 < anomaly_rate < 0.5, got 0.7"),
+        (["--n", "20", "--rate", "0.01"], "n=20 with anomaly_rate=0.01 yields zero anomalies"),
+    ],
+    ids=["n", "rate", "zero-anomalies"],
+)
+def test_bad_synth_setting_is_usage_error(tmp_path, capsys, setting, message):
+    out, report = tmp_path / "g.csv", tmp_path / "g.json"
+    assert main(["synth", "--kind", "global", *setting, "--out", str(out), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists() and not report.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +141,30 @@ def test_non_utf8_input_is_data_error_naming_file(clustered_csv, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: not UTF-8 text")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--data", "ABSENT", "--teacher", "hbos"],
+        ["--data", "CSV", "--teacher-scores", "ABSENT"],
+        ["--config", "ABSENT"],
+    ],
+    ids=["data", "teacher-scores", "config"],
+)
+def test_missing_input_file_is_data_error_naming_file(clustered_csv, tmp_path, capsys, args):
+    absent = tmp_path / "absent.txt"
+    args = [{"ABSENT": str(absent), "CSV": str(clustered_csv)}.get(arg, arg) for arg in args]
+    assert main(["boost", *args]) == 1
+    assert capsys.readouterr().err == f"error: no such file: {absent}\n"
+
+
+def test_config_with_byte_order_mark(clustered_csv, tmp_path):
+    # Excel and PowerShell start UTF-8 files with one; json.loads refuses it
+    cfg, report = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"data": str(clustered_csv), "detector": "hbos"}).encode())
+    assert main(["detect", "--config", str(cfg), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["config"]["detector"] == "hbos"
 
 
 def test_finite_range_wider_than_float64_runs_cleanly(tmp_path, capsys):
@@ -281,6 +322,21 @@ def test_boost_grid_export(tmp_path):
     assert len(rows) == 1 + 25
     scores = [float(r.split(",")[2]) for r in rows[1:]]
     assert all(0.0 <= s <= 1.0 for s in scores)
+
+
+def test_boost_history_and_grid_golden_bytes(tmp_path):
+    """The history and grid CSVs keep their bytes: CRLF line ends, each float its shortest repr."""
+    csv = tmp_path / "dependency.csv"
+    assert main(["synth", "--kind", "dependency", "--n", "40", "--seed", "4", "--out", str(csv)]) == 0
+    history, grid = tmp_path / "history.csv", tmp_path / "grid.csv"
+    args = ["--data", str(csv), "--label-column", "label", "--teacher", "hbos", "--iterations", "2", "--folds", "2"]
+    args += ["--epochs", "2", "--seed", "6", "--history-out", str(history), "--grid-out", str(grid), "--grid-size", "4"]
+    assert main(["boost", *args]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (history, grid)}
+    assert digests == {
+        "history.csv": "0923eb27a3ac42f7baf8f68d67b01fdf630d165a62af5057979377d114576673",
+        "grid.csv": "4b09994306ae84bf031371e4b748e862f0936c167cb1f416ad05e599272ab57e",
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
-"""Dataset ingestion, scaling, and the four synthetic generators."""
+"""Dataset and score files, scaling, and the four synthetic generators."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from uadb import (
     Dataset,
     SyntheticKind,
     generate_synthetic,
+    import_scores,
     load_csv,
     minmax_values,
     save_csv,
+    save_scores,
     scale_features,
 )
 from uadb.rng import Stream
@@ -98,6 +102,84 @@ def test_csv_round_trip_is_exact(tmp_path):
     back = load_csv(path, label_column="label")
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.labels, ds.labels)
+
+
+def test_load_csv_drops_byte_order_mark(tmp_path):
+    # Excel and PowerShell start UTF-8 files with one; it must not stick to the first column name
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbflabel,a\n0,1.0\n1,2.0\n")
+    ds = load_csv(path, label_column="label")
+    assert ds.labels.tolist() == [0, 1]
+    assert ds.features[:, 0].tolist() == [1.0, 2.0]
+    # the offset in a decoding error still counts the mark's three bytes
+    path.write_bytes(b"\xef\xbb\xbfa\n\xff\n")
+    with pytest.raises(DataError, match="at byte 5\\)"):
+        load_csv(path)
+
+
+# sha256 of each writer's bytes: CRLF line ends and every float's shortest repr, signed zero,
+# subnormals and the float64 extremes included
+_EXTREMES = np.array(
+    [[-0.0, 5e-324], [1e308, -1e308], [0.1, 1.0 / 3.0], [2.5, -7.0], [-1.5e-310, 123456789.0]]
+)
+_SAVE_CSV_GOLDEN = {
+    False: "60cfb2c065c33a15b04c324ba5febeb1274335faf7e07401d07f22c8dd1699e1",
+    True: "d5429e128f3583118d5ce6d1366d62a5d92bf4916400624f8af47421f1e652aa",
+}
+
+
+@pytest.mark.parametrize("labeled", [False, True], ids=["features", "labeled"])
+def test_save_csv_golden_bytes(tmp_path, labeled):
+    path = tmp_path / "golden.csv"
+    save_csv(Dataset(features=_EXTREMES, labels=[0, 1, 0, 1, 0] if labeled else None), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _SAVE_CSV_GOLDEN[labeled]
+
+
+def test_save_scores_golden_bytes(tmp_path):
+    path = tmp_path / "golden.txt"
+    save_scores(_EXTREMES.ravel()[:6], path)  # LF line ends
+    digest = "6ece9ae06f28b883849d92452895bad98e0c760bf6a79ec71189735a61877fb5"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_save_scores_refuses_a_matrix(tmp_path):
+    path = tmp_path / "column.txt"
+    with pytest.raises(TypeError):
+        save_scores(np.ones((3, 1)), path)
+    assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# score files
+
+
+def test_import_scores_round_trip(tmp_path):
+    path = tmp_path / "s.txt"
+    v = np.array([0.25, 1.5, -3.0, 0.125, 7.0])
+    save_scores(v, path)
+    back = import_scores(path, 5)
+    assert np.array_equal(back, v)
+
+
+def test_import_scores_header_and_errors(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("score\n1.0\n2.0\n3.0\n", encoding="utf-8")
+    assert len(import_scores(path, 3)) == 3
+    with pytest.raises(DataError, match="expected 5 scores"):
+        import_scores(path, 5)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1.0\ninf\n", encoding="utf-8")
+    with pytest.raises(DataError, match="non-finite"):
+        import_scores(bad, 2)
+    with pytest.raises(DataError, match="no such file"):
+        import_scores(tmp_path / "absent.txt", 1)
+
+
+def test_import_scores_drops_byte_order_mark(tmp_path):
+    # a mark glued to the first score made it read as a header, and that score was lost
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf0.5\n0.25\n0.75")
+    assert import_scores(path, 3).tolist() == [0.5, 0.25, 0.75]
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,8 @@ from uadb import (
     aucroc,
     fit_score,
     generate_synthetic,
-    import_scores,
     minmax_values,
     run_booster,
-    save_scores,
 )
 from uadb import detectors
 from uadb.rng import Stream, derive
@@ -664,29 +662,7 @@ def test_detector_golden_grid(case):
 
 
 # ---------------------------------------------------------------------------
-# score import/export and dispatch
-
-
-def test_import_scores_round_trip(tmp_path):
-    path = tmp_path / "s.txt"
-    v = np.array([0.25, 1.5, -3.0, 0.125, 7.0])
-    save_scores(v, path)
-    back = import_scores(path, 5)
-    assert np.array_equal(back, v)
-
-
-def test_import_scores_header_and_errors(tmp_path):
-    path = tmp_path / "s.csv"
-    path.write_text("score\n1.0\n2.0\n3.0\n", encoding="utf-8")
-    assert len(import_scores(path, 3)) == 3
-    with pytest.raises(DataError, match="expected 5 scores"):
-        import_scores(path, 5)
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1.0\ninf\n", encoding="utf-8")
-    with pytest.raises(DataError, match="non-finite"):
-        import_scores(bad, 2)
-    with pytest.raises(DataError, match="no such file"):
-        import_scores(tmp_path / "absent.txt", 1)
+# dispatch
 
 
 def test_fit_score_dispatch_defaults():
