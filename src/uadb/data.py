@@ -175,18 +175,21 @@ def import_scores(path: str | Path, n_expected: int) -> np.ndarray:
     path = Path(path)
     lines = [ln for ln in map(str.strip, read_text(path).splitlines()) if ln]
     values = []
+    header = ""
     for i, line in enumerate(lines):
         try:
             v = float(line)
         except ValueError:
             if i == 0:
-                continue  # header row
+                header = f" (line 1 {line!r} was read as a header)"
+                continue
             raise DataError(f"{path}: line {i + 1}: non-numeric entry {line!r}") from None
         if not math.isfinite(v):
             raise DataError(f"{path}: line {i + 1}: non-finite entry {line!r}")
         values.append(v)
     if len(values) != n_expected:
-        raise DataError(f"{path}: expected {n_expected} scores, found {len(values)}")
+        short = header if len(values) < n_expected else ""
+        raise DataError(f"{path}: expected {n_expected} scores, found {len(values)}{short}")
     return np.array(values, dtype=np.float64)
 
 

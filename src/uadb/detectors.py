@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .data import OVERFLOW_HINT, DataError, Dataset
 from .rng import Stream, derive
@@ -89,6 +87,8 @@ def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n, d = X.shape
     if not 1 <= k < n:
         raise DataError(f"need 1 <= k < n, got k={k}, n={n}")
+    from scipy.spatial import cKDTree  # imported here: most commands never search neighbors
+
     tree = cKDTree(X)
     dist = np.empty((n, k))
     idx = np.empty((n, k), dtype=np.intp)
@@ -127,6 +127,8 @@ def _avg_path_length(m: int) -> float:
     """Expected path length of an unsuccessful BST search over m points."""
     if m <= 1:
         return 0.0
+    from scipy.special import digamma  # imported here: only the isolation forest needs it
+
     harmonic = float(digamma(m)) + np.euler_gamma  # H(m-1)
     return 2.0 * harmonic - 2.0 * (m - 1) / m
 

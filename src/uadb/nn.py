@@ -128,15 +128,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_trace(m: MlpModel, X: np.ndarray):
-    """Forward pass keeping pre/post-activation values for backprop."""
-    z1 = X @ m.weights[0] + m.biases[0]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ m.weights[1] + m.biases[1]
-    a2 = np.maximum(z2, 0.0)
+def _layers(m: MlpModel, X: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Output for each row of X; a1 and a2 (rows, hidden) receive the two hidden activations."""
+    np.matmul(X, m.weights[0], out=a1)
+    a1 += m.biases[0]
+    np.maximum(a1, 0.0, out=a1)
+    np.matmul(a1, m.weights[1], out=a2)
+    a2 += m.biases[1]
+    np.maximum(a2, 0.0, out=a2)
     z3 = a2 @ m.weights[2] + m.biases[2]
-    p = np.clip(_sigmoid(z3), _OUTPUT_EPS, 1.0 - _OUTPUT_EPS)
-    return z1, a1, z2, a2, p
+    return np.clip(_sigmoid(z3), _OUTPUT_EPS, 1.0 - _OUTPUT_EPS)[:, 0]
 
 
 def forward(m: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -144,7 +145,7 @@ def forward(m: MlpModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.d:
         raise ValueError(f"expected shape (n, {m.d}), got {X.shape}")
-    return _forward_trace(m, X)[-1][:, 0]
+    return _layers(m, X, np.empty((X.shape[0], m.hidden)), np.empty((X.shape[0], m.hidden)))
 
 
 def _unit_targets(y, what: str) -> np.ndarray:
@@ -159,30 +160,48 @@ def _unit_targets(y, what: str) -> np.ndarray:
 
 def _loss(m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss) -> float:
     """Full-batch loss value."""
-    pv = _forward_trace(m, X)[-1][:, 0]
+    pv = forward(m, X)
     if loss is Loss.SQUARED_ERROR:
         return float(np.mean((pv - y) ** 2))
     return float(-np.mean(y * np.log(pv) + (1.0 - y) * np.log(1.0 - pv)))
 
 
-def _grads(m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss) -> np.ndarray:
-    """Full-batch analytic gradient, laid out like theta."""
-    n = X.shape[0]
-    z1, a1, z2, a2, p = _forward_trace(m, X)
-    pv = p[:, 0]
-    if loss is Loss.SQUARED_ERROR:
-        g3 = (2.0 * (pv - y) * pv * (1.0 - pv) / n)[:, None]
-    else:
-        g3 = ((pv - y) / n)[:, None]
-    gW3 = a2.T @ g3
-    gb3 = g3.sum(axis=0)
-    g2 = (g3 @ m.weights[2].T) * (z2 > 0.0)
-    gW2 = a1.T @ g2
-    gb2 = g2.sum(axis=0)
-    g1 = (g2 @ m.weights[1].T) * (z1 > 0.0)
-    gW1 = X.T @ g1
-    gb1 = g1.sum(axis=0)
-    return np.concatenate([g.ravel() for g in (gW1, gb1, gW2, gb2, gW3, gb3)])
+class _Workspace:
+    """Buffers for the gradient of any batch of up to `rows` rows, allocated once per train call.
+
+    Three (rows, hidden) blocks hold a1, a2 and g2; g1 reuses a2's block
+    once a2 is dead. The ReLU masks come from a > 0, which equals z > 0.
+    The flat gradient is laid out like theta, with per-layer views.
+    """
+
+    def __init__(self, m: MlpModel, rows: int):
+        self.a1, self.a2, self.g2 = (np.empty((rows, m.hidden)) for _ in range(3))
+        self.mask = np.empty((rows, m.hidden), dtype=bool)
+        self.grad = MlpModel(np.empty_like(m.theta), m.d, m.hidden)
+
+    def gradient(self, m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss) -> np.ndarray:
+        """Analytic gradient of the mean loss over the rows of X; a view into the workspace."""
+        n = X.shape[0]
+        a1, a2, g2, mask = self.a1[:n], self.a2[:n], self.g2[:n], self.mask[:n]
+        pv = _layers(m, X, a1, a2)
+        if loss is Loss.SQUARED_ERROR:
+            g3 = (2.0 * (pv - y) * pv * (1.0 - pv) / n)[:, None]
+        else:
+            g3 = ((pv - y) / n)[:, None]
+        gw, gb = self.grad.weights, self.grad.biases
+        np.matmul(a2.T, g3, out=gw[2])
+        np.sum(g3, axis=0, out=gb[2])
+        np.greater(a2, 0.0, out=mask)
+        np.matmul(g3, m.weights[2].T, out=g2)
+        g2 *= mask
+        np.matmul(a1.T, g2, out=gw[1])
+        np.sum(g2, axis=0, out=gb[1])
+        np.greater(a1, 0.0, out=mask)
+        g1 = np.matmul(g2, m.weights[1].T, out=a2)
+        g1 *= mask
+        np.matmul(X.T, g1, out=gw[0])
+        np.sum(g1, axis=0, out=gb[0])
+        return self.grad.theta
 
 
 def train(m: MlpModel, X: np.ndarray, y: np.ndarray, spec: TrainSpec) -> MlpModel:
@@ -201,23 +220,35 @@ def train(m: MlpModel, X: np.ndarray, y: np.ndarray, spec: TrainSpec) -> MlpMode
         raise ValueError(f"target length {yv.size} != row count {n}")
 
     out = m.copy()
+    workspace = _Workspace(out, min(spec.batch_size, n))
     moment1 = np.zeros_like(out.theta)
     moment2 = np.zeros_like(out.theta)
+    scratch = np.empty_like(out.theta)
     step = 0
     n_batches = math.ceil(n / spec.batch_size)
     for epoch in range(spec.epochs):
         order = Stream(derive(spec.seed, epoch)).permutation(n)
         for b in range(n_batches):
             batch = order[b * spec.batch_size : (b + 1) * spec.batch_size]
-            g = _grads(out, X[batch], yv[batch], spec.loss)
+            g = workspace.gradient(out, X[batch], yv[batch], spec.loss)
             step += 1
             c1 = 1.0 - _ADAM_BETA1**step
             c2 = 1.0 - _ADAM_BETA2**step
             moment1 *= _ADAM_BETA1
-            moment1 += (1.0 - _ADAM_BETA1) * g
+            np.multiply(g, 1.0 - _ADAM_BETA1, out=scratch)
+            moment1 += scratch
             moment2 *= _ADAM_BETA2
-            moment2 += (1.0 - _ADAM_BETA2) * (g * g)
-            out.theta -= spec.learning_rate * (moment1 / c1) / (np.sqrt(moment2 / c2) + _ADAM_EPS)
+            np.multiply(g, g, out=scratch)
+            scratch *= 1.0 - _ADAM_BETA2
+            moment2 += scratch
+            # theta -= lr * (moment1 / c1) / (sqrt(moment2 / c2) + eps), in g once it is dead
+            np.divide(moment2, c2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += _ADAM_EPS
+            np.divide(moment1, c1, out=g)
+            g *= spec.learning_rate
+            g /= scratch
+            out.theta -= g
     return out
 
 
@@ -235,7 +266,7 @@ def gradient_check(
     worst = 0.0
     probe = m.copy()
     theta = probe.theta
-    for i, g in enumerate(_grads(m, X, yv, loss)):
+    for i, g in enumerate(_Workspace(m, X.shape[0]).gradient(m, X, yv, loss)):
         keep = theta[i]
         theta[i] = keep + h
         hi = _loss(probe, X, yv, loss)

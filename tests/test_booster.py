@@ -1,6 +1,9 @@
 """Booster loop: variance math, label updates, strategies, end-to-end behavior."""
 
+import hashlib
 import re
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from uadb import (
     DetectorKind,
     DetectorParams,
     InputConditioner,
+    Loss,
     Strategy,
     SyntheticKind,
     TrainSpec,
@@ -31,7 +35,7 @@ from uadb import (
     score_points,
     update_pseudo_labels,
 )
-from uadb.booster import _assign_folds
+from uadb.booster import _assign_folds, _fold_workers
 from uadb.nn import forward, train
 from uadb.rng import Stream, derive
 
@@ -223,6 +227,47 @@ def test_run_booster_deterministic():
     assert np.array_equal(a.variance_history, b.variance_history)
 
 
+# sha256 over final scores, label history, variance history and every fold's theta
+# (T=3, 2 epochs, batch 64, n=257: every fold trains on a short last batch)
+_RUN_GOLDEN = {
+    ("uadb", 1, "squared-error"): "010e9488c6818b03c22849524e3eb9a6b8cf549fa0356d6431380f845dca85ac",
+    ("uadb", 1, "cross-entropy"): "d2638c3dbdbfba0d94396e7e30c90fb5d26c2cbae727911db54611f9c6f7bb61",
+    ("uadb", 3, "squared-error"): "f773e05d602e2e978eb9b25c0a929df445902c588114b5dae584e483ba888782",
+    ("uadb", 3, "cross-entropy"): "b8f1a6340e1d048d856d504b76066567558b7fd87d713e5a7f484573ea6d17c2",
+    ("naive", 1, "squared-error"): "e46a6b187cd08f357de18b2c47c2972dab1c608d7d02e310fbf95baa67562c76",
+    ("naive", 1, "cross-entropy"): "9eaa5f9923863dfd793c7922bc9ff09d26b987dbc2d2fea5330a7b1768e615db",
+    ("naive", 3, "squared-error"): "3c965c4b085b6af36493ac2815030eb05e625c2c3ef3af97063b353b2e7d1300",
+    ("naive", 3, "cross-entropy"): "eda46ef52e26b784422bd8e9820731033b15434d1de7b6097dd2a433b7765af0",
+    ("discrepancy", 1, "squared-error"): "00b127ae610cf1cf8024907ebadc31edea6b95404a9b0e227e395082e2f6cf7f",
+    ("discrepancy", 1, "cross-entropy"): "b58e2fd87c6a8132940194bf20309e5a48c17b723b8943c5b397d86e2ed2ccfc",
+    ("discrepancy", 3, "squared-error"): "20d850a49888e6eae9c1c4224dc045dee6c204a9014bd76c8b10db3311e0f0ae",
+    ("discrepancy", 3, "cross-entropy"): "8b80f7673806c3faacc32b2b8277b66f96978f6501ea4fb2b590c76347ef4c34",
+    ("self", 1, "squared-error"): "e84190d0c6d041db8d3c06b59d47abd0a594eeccfb2514d4a44ac8e02f952710",
+    ("self", 1, "cross-entropy"): "be3b5c6212ee1ee54e4e3d23e20e63f9f24b82f21c0f612ae5875786831b6b77",
+    ("self", 3, "squared-error"): "c8caf03f2bfbcb7cb51384cc80a2e44512844b876a500cb8b98d27d493e1123a",
+    ("self", 3, "cross-entropy"): "10b8ca40dead775a1e41e8fd17c97f487da2a3f2abdc4a7c2a088ff900456b96",
+    ("discrepancy-star", 1, "squared-error"): "028cba09a6a5215dafd341958cf25ed329450a6b6646a1e592a84fad34478c13",
+    ("discrepancy-star", 1, "cross-entropy"): "4052081f18b7592acd30288aacd6b9d09d9ec57cf903538e05b425bfcb9375a9",
+    ("discrepancy-star", 3, "squared-error"): "9ba23bb80cfbcd0108344d3776367426805f8e5ca931d35329f4e262ae881cbd",
+    ("discrepancy-star", 3, "cross-entropy"): "bd604a4d38a6b86a827be0544114c3ea9cd4975918b7c07887c5443f5e8fee97",
+}
+
+
+@pytest.mark.parametrize("loss", list(Loss))
+@pytest.mark.parametrize("folds", [1, 3])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_run_booster_golden_bits(strategy, folds, loss, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # fold threads on: unpinned, the folds train one by one
+    ds = generate_synthetic(SyntheticKind.LOCAL, n=257, seed=5)
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.HBOS))
+    spec = TrainSpec(epochs=2, batch_size=64, loss=loss)
+    res = run_booster(ds, teacher, BoosterConfig(T=3, fold_count=folds, strategy=strategy, train=spec, seed=6))
+    digest = hashlib.sha256()
+    for array in (res.final_scores, res.label_history, res.variance_history, *(m.theta for m in res.models)):
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == _RUN_GOLDEN[strategy.value, folds, loss.value]
+
+
 def test_training_shuffles_derive_from_the_booster_seed(monkeypatch):
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=4)
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
@@ -236,6 +281,65 @@ def test_training_shuffles_derive_from_the_booster_seed(monkeypatch):
     run_booster(ds, teacher, BoosterConfig(T=2, fold_count=3, seed=7))
     assert seeds == [derive(7, 301, t, f) for t in (1, 2) for f in range(3)]
 
+
+
+def test_error_in_a_fold_thread_reaches_the_caller(monkeypatch):
+    ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=4)
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
+
+    def failing_train(model, X, y, spec):
+        if spec.seed == derive(7, 301, 2, 1):  # round 2, fold 1
+            raise RuntimeError("fold 1 failed")
+        return train(model, X, y, spec)
+
+    monkeypatch.setattr("uadb.booster.train", failing_train)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with pytest.raises(RuntimeError, match="fold 1 failed"):
+        run_booster(ds, teacher, BoosterConfig(T=3, fold_count=3, seed=7))
+
+
+def test_concurrent_folds_lose_no_update(monkeypatch):
+    # more fold threads than cores, switching every microsecond, against the same run with
+    # every train call serialized behind one lock
+    ds = generate_synthetic(SyntheticKind.CLUSTERED, n=80, seed=8)
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.HBOS))
+    cfg = BoosterConfig(T=3, fold_count=5, train=TrainSpec(epochs=3, batch_size=16), seed=9)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        concurrent = run_booster(ds, teacher, cfg)
+    finally:
+        sys.setswitchinterval(switch)
+    lock = threading.Lock()
+
+    def serial_train(model, X, y, spec):
+        with lock:
+            return train(model, X, y, spec)
+
+    monkeypatch.setattr("uadb.booster.train", serial_train)
+    serial = run_booster(ds, teacher, cfg)
+    assert np.array_equal(concurrent.label_history, serial.label_history)
+    assert np.array_equal(concurrent.final_scores, serial.final_scores)
+    assert all(np.array_equal(a.theta, b.theta) for a, b in zip(concurrent.models, serial.models))
+
+
+@pytest.mark.parametrize(
+    "env, workers",
+    [
+        ({}, 1),  # OpenBLAS then uses every core
+        ({"OPENBLAS_NUM_THREADS": "1"}, 3),
+        ({"OMP_NUM_THREADS": "1"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "4"}, 1),
+    ],
+)
+def test_folds_train_concurrently_only_on_a_one_thread_blas(monkeypatch, env, workers):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert _fold_workers(3) == workers
 
 def test_run_booster_seed_changes_result():
     ds = generate_synthetic(SyntheticKind.LOCAL, n=60, seed=3)

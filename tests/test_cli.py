@@ -612,7 +612,7 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
     assert json.loads(rep.read_text())["config"]["seed"] == 9
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
     # the child must find the same uadb the tests import, installed or not
     src = str(Path(uadb.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -620,19 +620,34 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env={**os.environ, "PYTHONPATH": pythonpath, **env},
     )
 
 
-def _run_console(*args: str) -> subprocess.CompletedProcess:
-    return _run_python("-m", "uadb.cli", *args)
+def _run_console(*args: str, **env: str) -> subprocess.CompletedProcess:
+    return _run_python("-m", "uadb.cli", *args, **env)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # a cold `import uadb.cli` stays fast and small only while nothing imports scipy.stats
-    proc = _run_python("-c", "import sys, uadb.cli; print('scipy.stats' in sys.modules)")
+def test_cli_import_leaves_scipy_unloaded():
+    # a cold `import uadb.cli` stays fast and small only while nothing imports scipy;
+    # it loads inside the detectors that use it (neighbor search, isolation forest)
+    proc = _run_python("-c", "import sys, uadb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
+
+
+def test_boost_scores_do_not_depend_on_blas_threads(clustered_csv, tmp_path):
+    # one BLAS thread: the fold models train concurrently; two: one by one, on a threaded BLAS
+    outputs = []
+    for threads in ("1", "2"):
+        scores = tmp_path / f"scores-{threads}.txt"
+        proc = _run_console(
+            "boost", "--data", str(clustered_csv), "--teacher", "hbos", "--iterations", "2",
+            "--scores-out", str(scores), OPENBLAS_NUM_THREADS=threads,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(scores.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_console_entry_point_runs():

@@ -182,6 +182,15 @@ def test_import_scores_drops_byte_order_mark(tmp_path):
     assert import_scores(path, 3).tolist() == [0.5, 0.25, 0.75]
 
 
+def test_import_scores_short_count_names_the_line_read_as_header(tmp_path):
+    path = tmp_path / "typo.txt"
+    path.write_text("0.5x\n0.25\n0.75\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"expected 3 scores, found 2 \(line 1 '0\.5x' was read as a header\)$"):
+        import_scores(path, 3)
+    with pytest.raises(DataError, match=r"expected 1 scores, found 2$"):  # a dropped header explains no surplus
+        import_scores(path, 1)
+
+
 # ---------------------------------------------------------------------------
 # scale_features
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -453,12 +454,12 @@ def test_neighbor_blocks_split_anywhere_same_bits(monkeypatch):
     want = [scores(A, k) for A, k in runs]
     queries = []
 
-    class CountingTree(detectors.cKDTree):
+    class CountingTree(scipy.spatial.cKDTree):
         def query(self, x, k):
             queries.append((len(x), k))
             return super().query(x, k=k)
 
-    monkeypatch.setattr(detectors, "cKDTree", CountingTree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     for rows in (1, 7):  # 7 rows: chunks end at odd row counts, last one short
         for (A, k), (lof, knn) in zip(runs, want):
             # the first round queries K = k + 2 neighbors of each row

@@ -8,8 +8,8 @@ import pytest
 from uadb import Loss, TrainSpec, aucroc
 from uadb.nn import (
     MlpModel,
-    _grads,
     _loss,
+    _Workspace,
     forward,
     gradient_check,
     init_mlp,
@@ -23,6 +23,11 @@ def _tiny_batch(seed: int, n: int = 6, d: int = 3):
     X = stream.normal(n * d).reshape(n, d)
     y = stream.uniform(n)
     return X, y
+
+
+def _grads(m, X, y, loss):
+    """The analytic gradient train steps with, from a workspace sized to the batch."""
+    return _Workspace(m, len(X)).gradient(m, X, y, loss).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +192,29 @@ def test_gradient_batch_order_invariance():
     g1 = _grads(m, X, y, Loss.CROSS_ENTROPY)
     g2 = _grads(m, X[perm], y[perm], Loss.CROSS_ENTROPY)
     np.testing.assert_allclose(g1, g2, atol=1e-12)
+
+
+@pytest.mark.parametrize("loss", list(Loss))
+def test_train_steps_along_the_checked_gradient(loss):
+    """One full-batch step of train moves theta by -lr * g / (|g| + eps), g the gradient gradient_check verifies."""
+    m = init_mlp(3, seed=80, hidden=16)
+    X, y = _tiny_batch(81, n=7, d=3)
+    assert gradient_check(m, X, y, loss) < 1e-4
+    g = _grads(m, X, y, loss)
+    spec = TrainSpec(epochs=1, batch_size=7, learning_rate=0.01, loss=loss)
+    # the first adaptive-moment step: moment1 / c1 = g and sqrt(moment2 / c2) = |g|, up to rounding
+    np.testing.assert_allclose(train(m, X, y, spec).theta, m.theta - 0.01 * g / (np.abs(g) + 1e-8), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("loss", list(Loss))
+def test_gradient_of_a_batch_smaller_than_the_workspace(loss):
+    m = init_mlp(2, seed=82, hidden=16)
+    X, y = _tiny_batch(83, n=9, d=2)
+    workspace = _Workspace(m, 9)
+    workspace.gradient(m, X, y, loss)  # leaves every buffer full of the 9-row batch
+    short = workspace.gradient(m, X[:4], y[:4], loss)
+    assert np.array_equal(short, _grads(m, X[:4], y[:4], loss))
+    assert gradient_check(m, X[:4], y[:4], loss) < 1e-4
 
 
 # ---------------------------------------------------------------------------
