@@ -39,7 +39,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import OVERFLOW_HINT, DataError, Dataset, minmax_values
+from .data import OVERFLOW_HINT, DataError, Dataset, _binary_labels, minmax_values
 from .metrics import _average_ranks, aucroc, average_precision, threshold_predictions
 from .nn import MlpModel, TrainSpec, _unit_targets, forward, init_mlp, train
 from .rng import Stream, derive
@@ -222,7 +222,6 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
     if cfg.fold_count > ds.n:
         raise ValueError(f"fold_count {cfg.fold_count} exceeds row count {ds.n}")
     labeled = ds.labels is not None and ds.labels.min() != ds.labels.max()
-    y1 = minmax_values(teacher)
     diagnostics: list[dict] = []
     conditioner = InputConditioner.fit(ds.features)
     X = conditioner.apply(ds.features)
@@ -237,19 +236,15 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
         models[f] = train(models[f], X[rows], labels[rows], spec)
         p[held] = forward(models[f], X[held])
 
-    # naive keeps the static labels; its history stays one column
-    single_pass = cfg.strategy is Strategy.NAIVE
-    rounds = 1 if single_pass else cfg.T
-    history = np.empty((ds.n, 1 if single_pass else rounds + 1))
-    history[:, 0] = y1
-    variances = np.empty((ds.n, rounds if cfg.strategy is Strategy.UADB else 0))
-    current = y1
+    # each round trains on history[-1]; uadb and self append their next labels, naive runs one round
+    history = [minmax_values(teacher)]
+    variances: list[np.ndarray] = []
     # a round's fold models are independent (own weights, rows and seed), so they can train
     # concurrently; numpy releases the GIL inside BLAS and ufunc loops
     with ThreadPoolExecutor(max_workers=_fold_workers(cfg.fold_count)) as pool:
-        for t in range(1, rounds + 1):
+        for t in range(1, 2 if cfg.strategy is Strategy.NAIVE else cfg.T + 1):
             p = np.empty(ds.n)  # each row scored by the one model whose training folds exclude it
-            list(pool.map(fit_fold, range(cfg.fold_count), repeat(t), repeat(current), repeat(p)))
+            list(pool.map(fit_fold, range(cfg.fold_count), repeat(t), repeat(history[-1]), repeat(p)))
             if labeled:
                 diagnostics.append(
                     {
@@ -259,17 +254,15 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
                     }
                 )
             if cfg.strategy is Strategy.UADB:
-                variances[:, t - 1] = per_instance_variance(history[:, :t], p)
-                current = update_pseudo_labels(current, variances[:, t - 1])
+                variances.append(per_instance_variance(np.column_stack(history), p))
+                history.append(update_pseudo_labels(history[-1], variances[-1]))
             elif cfg.strategy is Strategy.SELF:
-                current = minmax_values(p)
-            if not single_pass:
-                history[:, t] = current
+                history.append(minmax_values(p))
 
     return BoosterResult(
         final_scores=minmax_values(_fold_mean(models, X)),
-        label_history=history,
-        variance_history=variances,
+        label_history=np.column_stack(history),
+        variance_history=np.column_stack(variances) if variances else np.empty((ds.n, 0)),
         diagnostics=tuple(diagnostics),
         models=tuple(models),
         conditioner=conditioner,
@@ -303,10 +296,7 @@ def classify_cases(teacher: np.ndarray, labels: np.ndarray) -> dict[str, np.ndar
     The top-q rule predicts exactly as many anomalies as the labels contain
     (score ties broken by lowest row index). Empty cases are dropped.
     """
-    labels = np.asarray(labels)
-    n = len(teacher)
-    if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+    labels = _binary_labels(labels, len(teacher))
     predicted = threshold_predictions(teacher, int(labels.sum()))
     actual = labels == 1
     cases = {

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -412,21 +413,23 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.config:
-            _apply_config(commands[args.command], _load_config(args.config))
-            args = parser.parse_args(argv)
-        cfg = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
-        report, lines = _HANDLERS[args.command](cfg)
-        if report["config"].get("report") is not None:
-            _write_json(report, report["config"]["report"])
-            lines.append(f"wrote {report['config']['report']}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # restores the caller's showwarning; filters stay as they are
+        warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if args.config:
+                _apply_config(commands[args.command], _load_config(args.config))
+                args = parser.parse_args(argv)
+            cfg = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
+            report, lines = _HANDLERS[args.command](cfg)
+            if report["config"].get("report") is not None:
+                _write_json(report, report["config"]["report"])
+                lines.append(f"wrote {report['config']['report']}")
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except (DataError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     for line in lines:
         print(line)
     return 0

@@ -68,12 +68,7 @@ class Dataset:
             raise DataError("features contain non-finite values")
         object.__setattr__(self, "features", X)
         if self.labels is not None:
-            y = np.asarray(self.labels)
-            if y.shape != (n,):
-                raise DataError(f"labels must have shape ({n},), got {y.shape}")
-            if not np.isin(y, (0, 1)).all():
-                raise DataError("labels must be 0 or 1")
-            object.__setattr__(self, "labels", y.astype(np.int64))
+            object.__setattr__(self, "labels", _binary_labels(self.labels, n))
 
     @property
     def n(self) -> int:
@@ -90,15 +85,32 @@ class Dataset:
         return int(self.labels.sum())
 
 
+def _binary_labels(labels, n: int) -> np.ndarray:
+    """Labels as an int64 (n,) array; DataError unless each is 0 or 1."""
+    y = np.asarray(labels)
+    if y.shape != (n,):
+        raise DataError(f"labels must have shape ({n},), got {y.shape}")
+    if not np.isin(y, (0, 1)).all():
+        raise DataError("labels must be 0 or 1")
+    return y.astype(np.int64)
+
+
+def _plain(text: str) -> bool:
+    """True for ASCII text without "_": float() also reads digit separators (1_0) and non-ASCII digits."""
+    return text.isascii() and "_" not in text
+
+
 def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
     """Load a dataset from a headered, comma-separated UTF-8 file.
 
-    All non-label cells must parse as finite decimal reals; the label
+    All non-label cells must parse as finite ASCII decimal reals; the label
     column, when named, must contain only 0 and 1. Non-finite cells are
     rejected rather than imputed.
     """
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    text = read_text(path)
+    plain = _plain(text)  # then so is every cell, and none needs its own check
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -123,7 +135,7 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
         feat_row = []
         for c, cell in enumerate(row):
             try:
-                value = float(cell)
+                value = float(cell) if plain or _plain(cell) else math.nan
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
@@ -178,6 +190,8 @@ def import_scores(path: str | Path, n_expected: int) -> np.ndarray:
     header = ""
     for i, line in enumerate(lines):
         try:
+            if not _plain(line):
+                raise ValueError(line)
             v = float(line)
         except ValueError:
             if i == 0:

@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 
+from .data import _binary_labels
+
 
 class VacuousCorrectionWarning(UserWarning):
     """Teacher made no errors, so the correction rate is vacuously 1."""
@@ -24,15 +26,6 @@ def _values(scores) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"scores must be 1-d, got shape {v.shape}")
     return v
-
-
-def _binary_labels(labels, n: int) -> np.ndarray:
-    y = np.asarray(labels)
-    if y.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},), got {y.shape}")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return y.astype(np.int64)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

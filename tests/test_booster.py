@@ -1,6 +1,7 @@
 """Booster loop: variance math, label updates, strategies, end-to-end behavior."""
 
 import hashlib
+import importlib
 import re
 import sys
 import threading
@@ -12,6 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uadb.booster
+import uadb.cli
+import uadb.rng
 from uadb import (
     BoosterConfig,
     DataError,
@@ -206,6 +210,9 @@ def test_history_columns_per_strategy(strategy, columns):
     cfg = BoosterConfig(T=3, fold_count=2, strategy=strategy)
     res = run_booster(ds, teacher, cfg)
     assert res.label_history.shape == (30, columns)
+    assert res.label_history.dtype == np.float64 and res.label_history.flags.c_contiguous
+    assert res.variance_history.shape == (30, cfg.T if strategy is Strategy.UADB else 0)
+    assert res.variance_history.dtype == np.float64
     assert len(res.diagnostics) == (1 if columns == 1 else 3)
 
 
@@ -506,6 +513,12 @@ def test_classify_cases_perfect_teacher_drops_empty_cases():
     assert set(cases) == {"TP", "TN"}
 
 
+@pytest.mark.parametrize("labels", [[2, 0, 0, 1], [0.5, 0.5, 0, 0]])
+def test_classify_cases_rejects_non_binary_labels(labels):
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        classify_cases(np.array([0.9, 0.8, 0.1, 0.2]), labels)
+
+
 def test_correction_trace_rank_identity(clustered_default_run):
     ds, _, result = clustered_default_run
     trace = correction_trace(result, ds)
@@ -620,3 +633,14 @@ def test_ablation_scores_equal_per_strategy_runs(kind, fold_count):
     ]
     for strategy, got in scores.items():
         assert np.array_equal(got, run_booster(ds, teacher, replace(cfg, strategy=strategy)).final_scores), strategy
+
+
+def test_benchmark_patch_points_exist(monkeypatch):
+    """perfbench's tracer wraps these names where they are looked up; a missing one fails every traced run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    targets = tracing.layer_targets(uadb.cli, uadb.booster, uadb.rng)
+    before = [owner.__dict__[attr] for owner, attr, _, _ in targets]
+    patch = tracing.Patch(targets, lambda fn, name, counts: fn)
+    patch.undo()
+    assert [owner.__dict__[attr] for owner, attr, _, _ in targets] == before

@@ -110,6 +110,13 @@ def test_detect_k_too_large_is_data_error(clustered_csv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_detect_identical_rows_warns_in_one_line(tmp_path, capsys):
+    path = tmp_path / "same.csv"
+    path.write_text("a,b\n" + "1.0,2.0\n" * 8, encoding="utf-8")
+    assert main(["detect", "--data", str(path), "--detector", "iforest"]) == 0
+    assert capsys.readouterr().err == "warning: all rows identical: isolation scores are uninformative\n"
+
+
 def test_detect_missing_data_flag(capsys):
     assert main(["detect", "--detector", "knn"]) == 2
 
@@ -231,26 +238,28 @@ def test_boost_requires_exactly_one_teacher(clustered_csv, capsys):
     assert main(["boost", "--data", str(clustered_csv)]) == 2
 
 
-def test_boost_external_teacher_scores(clustered_csv, tmp_path):
+def test_boost_external_teacher_scores(clustered_csv, tmp_path, capsys):
     ext = tmp_path / "ext.txt"
     rc = main(
         ["detect", "--data", str(clustered_csv), "--detector", "hbos", "--scores-out", str(ext)]
     )
     assert rc == 0
     rep = tmp_path / "ext-boost.json"
-    with pytest.warns(uadb.VacuousCorrectionWarning):  # the teacher makes no thresholded errors
-        rc = main(
-            [
-                "boost",
-                "--data", str(clustered_csv),
-                "--label-column", "label",
-                "--teacher-scores", str(ext),
-                "--iterations", "2",
-                "--folds", "2",
-                "--report", str(rep),
-            ]
-        )
+    capsys.readouterr()
+    rc = main(
+        [
+            "boost",
+            "--data", str(clustered_csv),
+            "--label-column", "label",
+            "--teacher-scores", str(ext),
+            "--iterations", "2",
+            "--folds", "2",
+            "--report", str(rep),
+        ]
+    )
     assert rc == 0
+    # the teacher makes no thresholded errors: one warning line per run, no source line
+    assert capsys.readouterr().err == "warning: teacher made no errors; correction rate is vacuously 1\n"
     assert json.loads(rep.read_text())["runs"][0]["teacher"]["aucroc"] > 0.0
 
 
@@ -299,24 +308,25 @@ def test_boost_repeat_averages(clustered_csv, tmp_path):
     assert "mean" in blob
 
 
-def test_boost_grid_export(tmp_path):
+def test_boost_grid_export(tmp_path, capsys):
     csv = tmp_path / "small.csv"
     assert main(["synth", "--kind", "global", "--n", "40", "--seed", "2", "--out", str(csv)]) == 0
     grid = tmp_path / "grid.csv"
-    with pytest.warns(uadb.VacuousCorrectionWarning):  # the teacher makes no thresholded errors
-        rc = main(
-            [
-                "boost",
-                "--data", str(csv),
-                "--label-column", "label",
-                "--teacher", "knn",
-                "--iterations", "1",
-                "--folds", "1",
-                "--grid-out", str(grid),
-                "--grid-size", "5",
-            ]
-        )
+    rc = main(
+        [
+            "boost",
+            "--data", str(csv),
+            "--label-column", "label",
+            "--teacher", "knn",
+            "--iterations", "1",
+            "--folds", "1",
+            "--grid-out", str(grid),
+            "--grid-size", "5",
+        ]
+    )
     assert rc == 0
+    # the teacher makes no thresholded errors
+    assert capsys.readouterr().err == "warning: teacher made no errors; correction rate is vacuously 1\n"
     rows = grid.read_text().splitlines()
     assert rows[0] == "x1,x2,score"
     assert len(rows) == 1 + 25

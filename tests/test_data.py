@@ -69,9 +69,17 @@ def test_load_csv_label_column_omitted_treats_label_as_feature(tmp_path):
     assert ds.labels is None
 
 
-def test_load_csv_rejects_non_numeric_cell(tmp_path):
-    path = _write(tmp_path, "a,b\n1.0,NaN\n2.0,3.0\n")
-    with pytest.raises(DataError, match="non-numeric cell"):
+def test_load_csv_header_outside_the_cell_rule_keeps_cells(tmp_path):
+    # a header with "_" or non-ASCII text sends every cell through its own check
+    path = _write(tmp_path, "x_1,d\u00e9bit,label\n1.5,-2e3,0\n3.0,4.0,1\n")
+    ds = load_csv(path, label_column="label")
+    assert ds.features.tolist() == [[1.5, -2000.0], [3.0, 4.0]] and ds.labels.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("cell", ["NaN", "1_0", "\u0663"])  # a digit separator; Arabic-Indic three
+def test_load_csv_rejects_non_numeric_cell(tmp_path, cell):
+    path = _write(tmp_path, f"a,b\n1.0,{cell}\n2.0,3.0\n")
+    with pytest.raises(DataError, match=f"non-numeric cell '{cell}' in column 'b'"):
         load_csv(path)
 
 
@@ -170,6 +178,9 @@ def test_import_scores_header_and_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1.0\ninf\n", encoding="utf-8")
     with pytest.raises(DataError, match="non-finite"):
+        import_scores(bad, 2)
+    bad.write_text("1.0\n0_5\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 2: non-numeric entry '0_5'"):
         import_scores(bad, 2)
     with pytest.raises(DataError, match="no such file"):
         import_scores(tmp_path / "absent.txt", 1)
