@@ -108,9 +108,7 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
     rejected rather than imputed.
     """
     path = Path(path)
-    text = read_text(path)
-    plain = _plain(text)  # then so is every cell, and none needs its own check
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -135,7 +133,7 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
         feat_row = []
         for c, cell in enumerate(row):
             try:
-                value = float(cell) if plain or _plain(cell) else math.nan
+                value = float(cell) if _plain(cell) else math.nan
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):

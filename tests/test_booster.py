@@ -1,7 +1,7 @@
 """Booster loop: variance math, label updates, strategies, end-to-end behavior."""
 
 import hashlib
-import importlib
+import importlib.util
 import re
 import sys
 import threading
@@ -635,10 +635,12 @@ def test_ablation_scores_equal_per_strategy_runs(kind, fold_count):
         assert np.array_equal(got, run_booster(ds, teacher, replace(cfg, strategy=strategy)).final_scores), strategy
 
 
-def test_benchmark_patch_points_exist(monkeypatch):
+def test_benchmark_patch_points_exist():
     """perfbench's tracer wraps these names where they are looked up; a missing one fails every traced run."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    tracing = importlib.import_module("tracing")
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
     targets = tracing.layer_targets(uadb.cli, uadb.booster, uadb.rng)
     before = [owner.__dict__[attr] for owner, attr, _, _ in targets]
     patch = tracing.Patch(targets, lambda fn, name, counts: fn)
