@@ -211,18 +211,29 @@ def save_scores(v: np.ndarray, path: str | Path) -> None:
     Path(path).write_text("".join(f"{float(value)!r}\n" for value in values), encoding="utf-8")
 
 
+def halve_wide(x: np.ndarray, factor: float = 1.0) -> np.ndarray:
+    """x, with each column (or the vector) whose (max - min) * factor overflows float64 halved until it fits.
+
+    Halving is exact for normal numbers, so a halved column keeps its ranks,
+    bins and split positions, and every other column keeps its bits.
+    """
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    finite = np.isfinite(lo) & np.isfinite(hi)  # callers report non-finite values themselves
+    scale = np.ones_like(lo)
+    with np.errstate(over="ignore"):  # overflow is what the loop tests for
+        while (wide := finite & ~np.isfinite((hi * scale - lo * scale) * factor)).any():
+            scale = np.where(wide, scale * 0.5, scale)
+    return x if (scale == 1.0).all() else x * scale
+
+
 def minmax_values(x: np.ndarray) -> np.ndarray:
     """Affine map of a vector, or of each matrix column, onto [0, 1]; a constant one maps to all 0.5.
 
-    Where max - min overflows float64, values are halved first (exact for normal numbers).
+    Where max - min overflows float64, values are halved first (halve_wide).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = halve_wide(np.asarray(x, dtype=np.float64))
     lo = x.min(axis=0)
-    with np.errstate(over="ignore"):  # an overflowing span is halved below
-        span = x.max(axis=0) - lo
-    if np.isinf(span).any():
-        half = np.where(np.isinf(span), 0.5, 1.0)
-        x, lo, span = x * half, lo * half, x.max(axis=0) * half - lo * half
+    span = x.max(axis=0) - lo
     constant = span == 0.0
     return np.where(constant, 0.5, (x - lo) / np.where(constant, 1.0, span))
 

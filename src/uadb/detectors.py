@@ -6,7 +6,10 @@ fit_score(ds, DetectorParams(kind, ...)) gives raw float64 scores, higher = more
 Scores of any other model act as a teacher through uadb.data.import_scores.
 
 All detectors are deterministic given (dataset, parameters, seed), use
-Euclidean distance, and break distance ties by lowest row index.
+Euclidean distance, and break distance ties by lowest row index. Working
+memory is bounded for any n: the isolation forest grows its trees in
+lockstep chunks of FOREST_BLOCK_ELEMENTS words, and the neighbor search
+queries rows in chunks of NEIGHBOR_BLOCK_ELEMENTS squared differences.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import OVERFLOW_HINT, DataError, Dataset
-from .rng import Stream, derive
+from .data import OVERFLOW_HINT, DataError, Dataset, halve_wide
+from .rng import Stream, derive, indices, uniform_at
 
 # reachability floor for coincident points; keeps LOF finite on duplicates
 LOF_DISTANCE_FLOOR = 1e-12
 # squared differences held at once by the neighbor search
 NEIGHBOR_BLOCK_ELEMENTS = 2**21
+# words the isolation forest's growing trees, or its row-tree pairs, hold at once
+FOREST_BLOCK_ELEMENTS = 2**17
 
 
 class DegenerateDataWarning(UserWarning):
@@ -133,33 +138,109 @@ def _avg_path_length(m: int) -> float:
     return 2.0 * harmonic - 2.0 * (m - 1) / m
 
 
-def _iso_tree_depths(
-    XT: np.ndarray, sample: np.ndarray, rows: np.ndarray, depth: int, limit: int,
-    stream: Stream, path_c: list[float], out: np.ndarray,
-) -> None:
-    """Grow one isolation tree on `sample` and write the path length of each scored row to out[rows].
+def _segment_ranges(values: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's min and max - min over the column segments of values starting at first."""
+    lo = np.minimum.reduceat(values, first, axis=1)
+    return lo, np.maximum.reduceat(values, first, axis=1) - lo
 
-    XT is the feature matrix transposed, one contiguous row per feature.
-    Each split sends the subsample and the scored rows down together, and
-    each leaf writes depth + path_c[leaf size]. The left subtree grows
-    first, so the stream is drawn in build order and no tree is ever stored.
+
+def _grow_trees(
+    XT: np.ndarray, seeds: list[int], m: int, limit: int, path_c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Grow one isolation tree per seed on the transposed features XT, all in lockstep, as flat node arrays.
+
+    Each step takes the next pending node of every tree, depth first with the
+    left subtree first, so each tree reads its stream at the same counters as
+    when it grows alone: its permutation as one block, then one draw for the
+    feature and one for the split of each node with a feature to split on.
+    Every tree's subsample is one segment of `sample` (row numbers),
+    partitioned in place, so each node's rows are contiguous and its ranges
+    and left count are segment reductions. Node t is tree t's root; an inner
+    node sends x < split to child and the rest to child + 1; a leaf is its
+    own child, with split +inf. leaf holds depth + c(size) for every node.
     """
-    m = sample.shape[0]
-    if m > 1 and depth < limit:
-        lo = sample.min(axis=0)
-        span = sample.max(axis=0) - lo
-        (candidates,) = (span > 0.0).nonzero()
-        if candidates.size:
-            f = int(candidates[stream.index(candidates.size)])
-            # Python floats: the same float64 ops as numpy scalars, without their overhead
-            split = float(lo[f]) + stream.next_uniform() * float(span[f])
-            mask = sample[:, f] < split
-            if 0 < np.count_nonzero(mask) < m:
-                left = XT[f].take(rows) < split
-                _iso_tree_depths(XT, sample[mask], rows[left], depth + 1, limit, stream, path_c, out)
-                _iso_tree_depths(XT, sample[~mask], rows[~left], depth + 1, limit, stream, path_c, out)
-                return
-    out[rows] = depth + path_c[m]
+    n = XT.shape[1]
+    flat = XT.ravel()
+    trees = len(seeds)
+    sample = np.empty(trees * m, dtype=np.intp)
+    for t, seed in enumerate(seeds):  # one permutation of n alive at a time
+        sample[t * m : (t + 1) * m] = Stream(seed).permutation(n)[:m]
+    streams = np.array(seeds, dtype=np.uint64)
+    drawn = np.full(trees, n)  # each stream's counter, its permutation's n draws done
+    capacity = trees * (2 * m - 1)
+    feature = np.zeros(capacity, dtype=np.intp)
+    split = np.full(capacity, np.inf)
+    child = np.arange(capacity)
+    leaf = np.full(capacity, path_c[m])
+    free = trees  # the next unused node number
+    # each tree's pending nodes as (start, size, depth, node), the next one on top
+    stack = np.zeros((trees, limit + 1, 4), dtype=np.intp)
+    roots = np.arange(trees)
+    stack[:, 0, 0], stack[:, 0, 1], stack[:, 0, 3] = roots * m, m, roots
+    pending = np.ones(trees, dtype=np.intp)
+    steps = 0
+    while (active := np.flatnonzero(pending)).size:
+        if steps % 8 == 0:  # each tree's next 16 uniforms: a step draws two at most
+            ahead = uniform_at(streams[:, None], (drawn[:, None] + np.arange(1, 17)).astype(np.uint64))
+            base = drawn.copy()
+        steps += 1
+        pending[active] -= 1
+        start, count, depth, node = stack[active, pending[active]].T
+        first = np.cumsum(count) - count
+        cells = np.arange(count.sum()) + np.repeat(start - first, count)
+        rows = sample.take(cells)
+        lo, span = _segment_ranges(XT.take(rows, axis=1), first)  # the gathered values die here, not a step later
+        ranks = np.cumsum(span > 0.0, axis=0)  # each node's candidate features, counted down the features
+        k = (drawn - base)[active]  # each active tree's next uniform in ahead
+        drawn[active] += 2 * (ranks[-1] > 0)
+        f = (ranks <= indices(ahead[active, k], ranks[-1])).sum(axis=0)
+        at = f * active.size + np.arange(active.size)
+        # with no candidate, f = 0 and the split is that feature's minimum: nothing goes left
+        cut = lo.take(at) + ahead[active, k + 1] * span.take(at)
+        left = flat.take(np.repeat(f * n, count) + rows) < np.repeat(cut, count)
+        n_left = np.add.reduceat(left, first, dtype=np.intp)
+        # each segment's rows that go left, then those that go right, each kept in order
+        sample[cells] = rows[np.argsort(np.repeat(2 * np.arange(active.size), count) + ~left, kind="stable")]
+        inner = (n_left > 0) & (n_left < count)
+        active, start, count, depth, node, f, cut, n_left = (
+            v[inner] for v in (active, start, count, depth, node, f, cut, n_left)
+        )
+        kids = free + 2 * np.arange(active.size)
+        feature[node], split[node], child[node] = f, cut, kids
+        sizes = np.array((n_left, count - n_left)).T
+        depth += 1
+        leaf[free : free + sizes.size] = (depth[:, None] + path_c[sizes]).ravel()
+        free += sizes.size
+        grows = (sizes > 1) & (depth < limit)[:, None]
+        top = pending[active]  # push the right child, then the left on top of it
+        stack[active, top] = np.array((start + n_left, sizes[:, 1], depth, kids + 1)).T
+        top += grows[:, 1]
+        stack[active, top] = np.array((start, n_left, depth, kids)).T
+        pending[active] = top + grows[:, 0]
+    return feature[:free], split[:free], child[:free], leaf[:free]
+
+
+def _add_path_lengths(
+    XT: np.ndarray, nodes: tuple[np.ndarray, ...], trees: int, limit: int, total: np.ndarray
+) -> None:
+    """Add each row's path length in each of _grow_trees' trees to total, in tree order.
+
+    Rows descend all the trees together in blocks of
+    FOREST_BLOCK_ELEMENTS // (5 * trees) rows (a row-tree pair holds about
+    five words at once).
+    """
+    feature, split, child, leaf = nodes
+    n = total.size
+    flat = XT.ravel()
+    offset = feature * n  # row r's feature f sits at flat[f * n + r]
+    block = max(1, FOREST_BLOCK_ELEMENTS // (5 * trees))
+    for a in range(0, n, block):
+        rows = np.arange(a, min(a + block, n))
+        node = np.repeat(np.arange(trees)[:, None], rows.size, axis=1)
+        for _ in range(limit):  # leaves are absorbing, so every row ends in its leaf
+            node = child[node] + (flat[offset[node] + rows] >= split[node])
+        for depths in leaf[node]:
+            total[a : a + rows.size] += depths
 
 
 def _fit_iforest(ds: Dataset, params: DetectorParams) -> np.ndarray:
@@ -168,26 +249,28 @@ def _fit_iforest(ds: Dataset, params: DetectorParams) -> np.ndarray:
     Each tree is grown on a without-replacement subsample of min(subsample, n)
     rows with uniformly random feature/split choices, height-limited at
     ceil(log2(m)). c(m) is the average BST path-length normalizer, tabulated
-    once per forest for every leaf size 0..m. Trees are not stored: all n
-    rows are scored while each tree grows. Each tree's stream yields its
-    permutation as one block, then one scalar draw for each node's feature
-    and one for its split, depth first with the left subtree first.
+    once per forest for every leaf size 0..m. Trees grow in chunks
+    (_grow_trees) of as many trees as FOREST_BLOCK_ELEMENTS words hold, at
+    least one; a chunk is dropped once every row has descended its trees
+    (_add_path_lengths). Path lengths are summed in tree order. A column
+    whose range overflows float64 is halved first (halve_wide), which keeps
+    every split's side.
     """
-    X = ds.features
-    n = ds.n
+    X = halve_wide(ds.features)
+    n, d = X.shape
     if np.all(X == X[0]):
         warnings.warn("all rows identical: isolation scores are uninformative", DegenerateDataWarning)
     m = min(params.subsample, n)
     limit = math.ceil(math.log2(m))
-    path_c = [_avg_path_length(size) for size in range(m + 1)]
+    path_c = np.array([_avg_path_length(size) for size in range(m + 1)])
     XT = np.ascontiguousarray(X.T)
     total = np.zeros(n)
-    depths = np.empty(n)  # every row reaches one leaf, so each tree overwrites all of it
-    for t in range(params.trees):
-        stream = Stream(derive(params.seed, t))
-        rows = stream.permutation(n)[:m]
-        _iso_tree_depths(XT, X[rows], np.arange(n), 0, limit, stream, path_c, depths)
-        total += depths
+    # a growing tree holds about m * (d + 12) words: its row numbers, one step's
+    # feature values and index arrays over them, and 2m - 1 nodes of four words
+    chunk = max(1, FOREST_BLOCK_ELEMENTS // (m * (d + 12)))
+    for first in range(0, params.trees, chunk):
+        seeds = [derive(params.seed, t) for t in range(first, min(first + chunk, params.trees))]
+        _add_path_lengths(XT, _grow_trees(XT, seeds, m, limit, path_c), len(seeds), limit, total)
     expected = total / params.trees
     return np.power(2.0, -expected / path_c[m])
 
@@ -201,8 +284,10 @@ def _fit_hbos(ds: Dataset, params: DetectorParams) -> np.ndarray:
 
     Bins span [min, max] per feature; empty-bin densities are floored at
     1/(2*n*bins) so scores stay bounded. Constant features contribute 0.
+    A column whose range times bins overflows float64 is halved first
+    (halve_wide), which keeps every row's bin.
     """
-    X = ds.features
+    X = halve_wide(ds.features, params.bins)
     n, d = X.shape
     bins = params.bins
     floor = 1.0 / (2.0 * n * bins)

@@ -24,7 +24,9 @@ one-at-a-time generation yield identical sequences. Scalar draws
 ``uniform``, ``normal``, ``permutation``) advance one shared counter, so
 any interleaving of them reads the same outputs as one block of the
 total length. A scalar draw runs the pure-Python ``mix64`` and skips
-numpy's per-call overhead.
+numpy's per-call overhead. ``uniform_at`` reads one given draw from each of
+many streams at once; a caller that advances many streams in lockstep (the
+isolation forest's trees) keeps their counters itself.
 """
 
 from __future__ import annotations
@@ -58,6 +60,36 @@ def derive(seed: int, *tags: int) -> int:
     return s
 
 
+def _outputs(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Raw output number ``counters`` of the streams ``seeds`` (uint64, broadcast together)."""
+    z = seeds + counters * np.uint64(GOLDEN)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_M1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_M2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _unit(z: np.ndarray) -> np.ndarray:
+    """Top 53 bits of raw outputs as doubles in [0, 1)."""
+    return (z >> np.uint64(11)) * 2.0**-53
+
+
+def uniform_at(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Uniform number ``counters[i]`` (1-based) of stream ``seeds[i]``, for many streams at once.
+
+    Both are uint64 arrays that broadcast together. Each double equals what
+    ``Stream(seed).next_uniform()`` returns as its ``counter``-th draw.
+    """
+    return _unit(_outputs(seeds, counters))
+
+
+def indices(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``Stream.index``'s rule on arrays: uniforms ``u`` to integers on [0, bounds)."""
+    return np.minimum((u * bounds).astype(np.intp), bounds - 1)
+
+
 class Stream:
     """A seedable stream of uniforms, normals and permutations.
 
@@ -73,17 +105,11 @@ class Stream:
         """Next ``k`` raw 64-bit outputs."""
         idx = np.arange(self._count + 1, self._count + k + 1, dtype=np.uint64)
         self._count += k
-        z = np.uint64(self._seed) + idx * np.uint64(GOLDEN)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_M1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_M2)
-        z ^= z >> np.uint64(31)
-        return z
+        return _outputs(np.uint64(self._seed), idx)
 
     def uniform(self, k: int) -> np.ndarray:
         """Next ``k`` doubles in [0, 1)."""
-        return (self.u64(k) >> np.uint64(11)) * 2.0**-53
+        return _unit(self.u64(k))
 
     def normal(self, k: int) -> np.ndarray:
         """Next ``k`` standard normal deviates (Box-Muller)."""

@@ -212,6 +212,7 @@ def test_iforest_matches_build_then_descend_oracle():
             dup = X.copy()
             dup[n // 2 :] = X[: n - n // 2]
             inputs = [X, np.round(X), (X > 0.5).astype(float), dup, np.full((n, d), 2.5)]
+            inputs.append(1e16 + np.round(X))  # spans of a few ulps: splits can land on the minimum itself
             for features in inputs:
                 ds = Dataset(features=features)
                 for subsample in (2, 64, 256):
@@ -220,6 +221,89 @@ def test_iforest_matches_build_then_descend_oracle():
                         params = DetectorParams(DetectorKind.IFOREST, trees=3, subsample=subsample, seed=n)
                         got = fit_score(ds, params)
                     assert np.array_equal(got, _oracle_iforest(features, 3, subsample, n))
+
+
+def _chunk_sizes(monkeypatch) -> list[int]:
+    """Record the number of trees in each lockstep chunk the forest grows."""
+    sizes = []
+    grow = detectors._grow_trees
+
+    def spy(XT, seeds, *rest):
+        sizes.append(len(seeds))
+        return grow(XT, seeds, *rest)
+
+    monkeypatch.setattr(detectors, "_grow_trees", spy)
+    return sizes
+
+
+def test_iforest_matches_oracle_across_chunk_boundaries(monkeypatch):
+    sizes = _chunk_sizes(monkeypatch)
+    X = _random_points(41, 300, 2)
+    got = fit_score(Dataset(features=X), DetectorParams(DetectorKind.IFOREST, seed=5))
+    assert np.array_equal(got, _oracle_iforest(X, 100, 256, 5))
+    chunk = sizes[0]
+    assert 1 < chunk < 100 and sizes == [chunk] * (100 // chunk) + [100 % chunk] * (100 % chunk > 0)
+    for trees in (chunk - 1, chunk, chunk + 1):
+        sizes.clear()
+        got = fit_score(Dataset(features=X), DetectorParams(DetectorKind.IFOREST, trees=trees, seed=6))
+        assert np.array_equal(got, _oracle_iforest(X, trees, 256, 6))
+        assert sizes == ([trees] if trees <= chunk else [chunk, trees - chunk])
+    # a subsample so large that a chunk holds one tree
+    m = detectors.FOREST_BLOCK_ELEMENTS // 14 + 1
+    X = _random_points(42, m, 2)
+    sizes.clear()
+    got = fit_score(Dataset(features=X), DetectorParams(DetectorKind.IFOREST, trees=2, subsample=m, seed=7))
+    assert sizes == [1, 1]
+    assert np.array_equal(got, _oracle_iforest(X, 2, m, 7))
+
+
+def test_iforest_peak_memory_bounded(monkeypatch):
+    ds = generate_synthetic(SyntheticKind.CLUSTERED, seed=3)
+    fit_score(ds, DetectorParams(DetectorKind.IFOREST))  # scipy.special's one-time import is not the forest's
+    tracemalloc.start()
+    try:
+        fit_score(ds, DetectorParams(DetectorKind.IFOREST))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20  # all 100 trees in one chunk peak near 3 MiB
+    # a budget of 2**14 words holds one growing tree of subsample 1025, not two: chunks of one tree
+    monkeypatch.setattr(detectors, "FOREST_BLOCK_ELEMENTS", 2**14)
+    sizes = _chunk_sizes(monkeypatch)
+    X = _random_points(43, 1025, 2)
+    tracemalloc.start()
+    try:
+        fit_score(Dataset(features=X), DetectorParams(DetectorKind.IFOREST, trees=2, subsample=1025))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [1, 1]
+    assert peak <= 1.5 * 8 * 2**14  # the budget's bytes plus the rows' own arrays; two trees at once take 2x
+    # 4000 rows descend a chunk of 18 trees in row blocks; all rows at once would take 19x the budget
+    X = _random_points(44, 4000, 1)
+    sizes.clear()
+    tracemalloc.start()
+    try:
+        fit_score(Dataset(features=X), DetectorParams(DetectorKind.IFOREST, trees=18, subsample=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [18]
+    assert peak <= 4 * 8 * 2**14
+
+
+def test_iforest_and_hbos_accept_feature_ranges_past_float64():
+    # column 0 spans 3.4e308, past float64's max; the suite turns an overflow RuntimeWarning into an error
+    X = _random_points(44, 60, 2)
+    X[:, 0] *= 1.7e308 / np.abs(X[:, 0]).max()
+    X[np.argmin(X[:, 0]), 0], X[np.argmax(X[:, 0]), 0] = -1.7e308, 1.7e308
+    for kind in (DetectorKind.IFOREST, DetectorKind.HBOS):
+        params = DetectorParams(kind, trees=20)
+        wide = fit_score(Dataset(features=X), params)
+        assert np.array_equal(wide, fit_score(Dataset(features=X * 0.5), params)), kind
+        # 2**-5 brings 10 bins' worth of the range into float64 without any halving
+        assert np.array_equal(wide, fit_score(Dataset(features=X * 2.0**-5), params)), kind
+        assert np.unique(wide).size > 10, kind
 
 
 def _iforest_grid_digest(kind: str, n: int, d: int) -> str:

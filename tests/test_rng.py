@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uadb.rng import GOLDEN, Stream, derive, mix64
+from uadb.rng import GOLDEN, Stream, derive, indices, mix64, uniform_at
 
 _MASK = (1 << 64) - 1
 
@@ -118,6 +118,32 @@ def test_scalar_and_block_draws_share_one_counter(seed, ops):
             assert np.array_equal(s.uniform(k), block[at : at + k])
         at += 1 if op == "index" else k
     assert s.next_uniform() == block[total]  # the counter stands at the total length
+
+
+_DRAW_AT = st.tuples(
+    st.integers(min_value=0, max_value=_MASK),  # seed
+    st.integers(min_value=1, max_value=4096),  # counter
+    st.integers(min_value=1, max_value=2**40),  # index bound
+)
+
+
+@given(st.lists(_DRAW_AT, min_size=1, max_size=8))
+def test_uniform_at_matches_scalar_draws_at_the_same_counter(cases):
+    """Many streams at once, each at its own counter, read what each stream's scalar draws read there."""
+    seeds = np.array([seed for seed, _, _ in cases], dtype=np.uint64)
+    counters = np.array([k for _, k, _ in cases], dtype=np.uint64)
+    u = uniform_at(seeds, counters)
+    picks = indices(u, np.array([bound for _, _, bound in cases]))
+    for (seed, k, bound), got, pick in zip(cases, u.tolist(), picks.tolist()):
+        before = Stream(seed)
+        before.u64(k - 1)
+        assert got == before.next_uniform()
+        before = Stream(seed)
+        before.u64(k - 1)
+        assert pick == before.index(bound)
+    # broadcast: one stream's draws 1..k in a row equal its uniform block
+    row = uniform_at(seeds[:1, None], np.arange(1, 9, dtype=np.uint64))
+    assert np.array_equal(row, Stream(cases[0][0]).uniform(8)[None])
 
 
 def test_derive_tag_sensitivity():
