@@ -138,10 +138,21 @@ def _avg_path_length(m: int) -> float:
     return 2.0 * harmonic - 2.0 * (m - 1) / m
 
 
-def _segment_ranges(values: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each feature's min and max - min over the column segments of values starting at first."""
-    lo = np.minimum.reduceat(values, first, axis=1)
-    return lo, np.maximum.reduceat(values, first, axis=1) - lo
+def _segment_ranges(XT: np.ndarray, rows: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's min and max - min over each segment of rows (segments start at first), as (d, segments).
+
+    The rows' values are gathered from XT a block of features at a time, at
+    most FOREST_BLOCK_ELEMENTS values (and at least one feature) per block.
+    """
+    d = XT.shape[0]
+    lo, span = np.empty((d, first.size)), np.empty((d, first.size))
+    block = max(1, FOREST_BLOCK_ELEMENTS // rows.size)
+    for a in range(0, d, block):
+        values = XT[a : a + block].take(rows, axis=1)
+        lo[a : a + block] = np.minimum.reduceat(values, first, axis=1)
+        span[a : a + block] = np.maximum.reduceat(values, first, axis=1) - lo[a : a + block]
+        del values  # before the next block is gathered
+    return lo, span
 
 
 def _grow_trees(
@@ -178,25 +189,20 @@ def _grow_trees(
     roots = np.arange(trees)
     stack[:, 0, 0], stack[:, 0, 1], stack[:, 0, 3] = roots * m, m, roots
     pending = np.ones(trees, dtype=np.intp)
-    steps = 0
     while (active := np.flatnonzero(pending)).size:
-        if steps % 8 == 0:  # each tree's next 16 uniforms: a step draws two at most
-            ahead = uniform_at(streams[:, None], (drawn[:, None] + np.arange(1, 17)).astype(np.uint64))
-            base = drawn.copy()
-        steps += 1
         pending[active] -= 1
         start, count, depth, node = stack[active, pending[active]].T
         first = np.cumsum(count) - count
         cells = np.arange(count.sum()) + np.repeat(start - first, count)
         rows = sample.take(cells)
-        lo, span = _segment_ranges(XT.take(rows, axis=1), first)  # the gathered values die here, not a step later
+        lo, span = _segment_ranges(XT, rows, first)
         ranks = np.cumsum(span > 0.0, axis=0)  # each node's candidate features, counted down the features
-        k = (drawn - base)[active]  # each active tree's next uniform in ahead
+        u = uniform_at(streams[active, None], (drawn[active, None] + (1, 2)).astype(np.uint64))
         drawn[active] += 2 * (ranks[-1] > 0)
-        f = (ranks <= indices(ahead[active, k], ranks[-1])).sum(axis=0)
+        f = (ranks <= indices(u[:, 0], ranks[-1])).sum(axis=0)
         at = f * active.size + np.arange(active.size)
         # with no candidate, f = 0 and the split is that feature's minimum: nothing goes left
-        cut = lo.take(at) + ahead[active, k + 1] * span.take(at)
+        cut = lo.take(at) + u[:, 1] * span.take(at)
         left = flat.take(np.repeat(f * n, count) + rows) < np.repeat(cut, count)
         n_left = np.add.reduceat(left, first, dtype=np.intp)
         # each segment's rows that go left, then those that go right, each kept in order
@@ -265,9 +271,10 @@ def _fit_iforest(ds: Dataset, params: DetectorParams) -> np.ndarray:
     path_c = np.array([_avg_path_length(size) for size in range(m + 1)])
     XT = np.ascontiguousarray(X.T)
     total = np.zeros(n)
-    # a growing tree holds about m * (d + 12) words: its row numbers, one step's
-    # feature values and index arrays over them, and 2m - 1 nodes of four words
-    chunk = max(1, FOREST_BLOCK_ELEMENTS // (m * (d + 12)))
+    # a growing tree holds about 14m + 5d words: 2m - 1 nodes of four words, its
+    # row numbers and one step's index arrays over them, and its node's ranges
+    # and candidate counts per feature; _segment_ranges bounds the feature values
+    chunk = max(1, FOREST_BLOCK_ELEMENTS // (14 * m + 5 * d))
     for first in range(0, params.trees, chunk):
         seeds = [derive(params.seed, t) for t in range(first, min(first + chunk, params.trees))]
         _add_path_lengths(XT, _grow_trees(XT, seeds, m, limit, path_c), len(seeds), limit, total)

@@ -248,13 +248,39 @@ def test_iforest_matches_oracle_across_chunk_boundaries(monkeypatch):
         got = fit_score(Dataset(features=X), DetectorParams(DetectorKind.IFOREST, trees=trees, seed=6))
         assert np.array_equal(got, _oracle_iforest(X, trees, 256, 6))
         assert sizes == ([trees] if trees <= chunk else [chunk, trees - chunk])
-    # a subsample so large that a chunk holds one tree
-    m = detectors.FOREST_BLOCK_ELEMENTS // 14 + 1
+    # a subsample so large that a chunk holds one tree: a growing tree counts 14m + 5d words
+    m = detectors.FOREST_BLOCK_ELEMENTS // 28 + 1
     X = _random_points(42, m, 2)
     sizes.clear()
     got = fit_score(Dataset(features=X), DetectorParams(DetectorKind.IFOREST, trees=2, subsample=m, seed=7))
     assert sizes == [1, 1]
     assert np.array_equal(got, _oracle_iforest(X, 2, m, 7))
+
+
+def test_iforest_wide_data_gathers_features_in_blocks(monkeypatch):
+    # defaults on 500 features still grow many trees a chunk: the feature count does not shrink it to one
+    sizes = _chunk_sizes(monkeypatch)
+    X = _random_points(45, 300, 500)
+    fit_score(Dataset(features=X), DetectorParams(DetectorKind.IFOREST, trees=30))
+    assert sizes[0] >= 20
+    # 3 trees of 64 rows a chunk; a first step gathers 4096 // 192 = 21 of the 40 features at a time
+    monkeypatch.setattr(detectors, "FOREST_BLOCK_ELEMENTS", 2**12)
+    X = _random_points(46, 200, 40)
+    sizes.clear()
+    got = fit_score(Dataset(features=X), DetectorParams(DetectorKind.IFOREST, trees=7, subsample=64, seed=8))
+    assert sizes == [3, 3, 1]
+    assert np.array_equal(got, _oracle_iforest(X, 7, 64, 8))
+    # a chunk (5 trees at 2**14 words) and its gathered values stay within the budget twice over
+    monkeypatch.setattr(detectors, "FOREST_BLOCK_ELEMENTS", 2**14)
+    XT = np.ascontiguousarray(_random_points(47, 200, 400).T)
+    path_c = np.array([detectors._avg_path_length(size) for size in range(65)])
+    tracemalloc.start()
+    try:
+        detectors._grow_trees(XT, [derive(0, t) for t in range(5)], 64, 6, path_c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * 2**14  # gathering all 400 features of a first step at once takes 8.6x the budget
 
 
 def test_iforest_peak_memory_bounded(monkeypatch):
