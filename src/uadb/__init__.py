@@ -14,6 +14,7 @@ from .booster import (
     ablation_scores,
     classify_cases,
     correction_trace,
+    iteration_metrics,
     per_instance_variance,
     run_booster,
     score_points,
@@ -79,6 +80,7 @@ __all__ = [
     "gradient_check",
     "import_scores",
     "init_mlp",
+    "iteration_metrics",
     "load_csv",
     "minmax_values",
     "per_instance_variance",

@@ -135,16 +135,16 @@ class BoosterResult:
     (n, k) float64 array with one column per variance step: k = T for uadb,
     k = 0 for every other strategy.
 
-    diagnostics holds one row per training iteration (AUCROC and AP of that
-    iteration's out-of-fold predictions); it is empty unless the dataset's
-    labels hold both classes. models are the fold_count fold models and
-    conditioner the input transform they were trained behind.
+    predictions is an (n, r) float64 array of each training round's
+    out-of-fold predictions (r = 1 for naive and discrepancy, r = T
+    otherwise). models are the fold_count fold models and conditioner the
+    input transform they were trained behind.
     """
 
     final_scores: np.ndarray
     label_history: np.ndarray
     variance_history: np.ndarray
-    diagnostics: tuple[dict, ...]
+    predictions: np.ndarray
     models: tuple[MlpModel, ...]
     conditioner: InputConditioner
 
@@ -221,38 +221,32 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
         raise DataError("teacher scores contain non-finite values")
     if cfg.fold_count > ds.n:
         raise ValueError(f"fold_count {cfg.fold_count} exceeds row count {ds.n}")
-    labeled = ds.labels is not None and ds.labels.min() != ds.labels.max()
-    diagnostics: list[dict] = []
     conditioner = InputConditioner.fit(ds.features)
     X = conditioner.apply(ds.features)
     folds = _assign_folds(ds.n, cfg.fold_count, cfg.seed)
     models = [init_mlp(ds.d, derive(cfg.seed, _TAG_MODEL_INIT, f)) for f in range(cfg.fold_count)]
 
-    def fit_fold(f: int, t: int, labels: np.ndarray, p: np.ndarray) -> None:
+    def fit_fold(f: int, t: int, targets: np.ndarray, p: np.ndarray) -> None:
         """Train fold f for round t on the other folds' rows, then score its own rows into p."""
         held = np.flatnonzero(folds == f)
         rows = np.flatnonzero(folds != f) if cfg.fold_count > 1 else held
         spec = replace(cfg.train, seed=derive(cfg.seed, _TAG_TRAIN_SHUFFLE, t, f))
-        models[f] = train(models[f], X[rows], labels[rows], spec)
+        models[f] = train(models[f], X[rows], targets[rows], spec)
         p[held] = forward(models[f], X[held])
 
-    # each round trains on history[-1]; uadb and self append their next labels, naive runs one round
+    # each round trains on history[-1]; uadb and self append the next round's targets, naive runs one round
     history = [minmax_values(teacher)]
     variances: list[np.ndarray] = []
+    predictions: list[np.ndarray] = []
     # a round's fold models are independent (own weights, rows and seed), so they can train
     # concurrently; numpy releases the GIL inside BLAS and ufunc loops
     with ThreadPoolExecutor(max_workers=_fold_workers(cfg.fold_count)) as pool:
         for t in range(1, 2 if cfg.strategy is Strategy.NAIVE else cfg.T + 1):
             p = np.empty(ds.n)  # each row scored by the one model whose training folds exclude it
             list(pool.map(fit_fold, range(cfg.fold_count), repeat(t), repeat(history[-1]), repeat(p)))
-            if labeled:
-                diagnostics.append(
-                    {
-                        "iteration": t,
-                        "aucroc": aucroc(p, ds.labels),
-                        "ap": average_precision(p, ds.labels),
-                    }
-                )
+            if not np.all(np.isfinite(p)):
+                raise DataError(f"round {t} diverged: learning rate {cfg.train.learning_rate} is too large")
+            predictions.append(p)
             if cfg.strategy is Strategy.UADB:
                 variances.append(per_instance_variance(np.column_stack(history), p))
                 history.append(update_pseudo_labels(history[-1], variances[-1]))
@@ -263,7 +257,7 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
         final_scores=minmax_values(_fold_mean(models, X)),
         label_history=np.column_stack(history),
         variance_history=np.column_stack(variances) if variances else np.empty((ds.n, 0)),
-        diagnostics=tuple(diagnostics),
+        predictions=np.column_stack(predictions),
         models=tuple(models),
         conditioner=conditioner,
     )
@@ -288,6 +282,14 @@ def ablation_scores(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> dic
         scores[derived] = _discrepancy_scores(result, ds)
     scores[Strategy.UADB] = run_booster(ds, teacher, replace(cfg, strategy=Strategy.UADB)).final_scores
     return scores
+
+
+def iteration_metrics(result: BoosterResult, labels: np.ndarray) -> list[dict]:
+    """AUCROC and AP of each training round's out-of-fold predictions, one dict per round."""
+    return [
+        {"iteration": t, "aucroc": aucroc(p, labels), "ap": average_precision(p, labels)}
+        for t, p in enumerate(result.predictions.T, start=1)
+    ]
 
 
 def classify_cases(teacher: np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:

@@ -24,7 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .booster import BoosterConfig, BoosterResult, Strategy, ablation_scores, run_booster, score_points
+from .booster import (
+    BoosterConfig,
+    BoosterResult,
+    Strategy,
+    ablation_scores,
+    iteration_metrics,
+    run_booster,
+    score_points,
+)
 from .data import (
     DataError,
     Dataset,
@@ -159,7 +167,7 @@ def _run_metrics(ds: Dataset, teacher: np.ndarray, result: BoosterResult) -> dic
             "ap": average_precision(result.final_scores, y),
             "correction_rate": correction_rate(teacher, result.final_scores, y),
         },
-        "iterations": list(result.diagnostics),
+        "iterations": iteration_metrics(result, y),
     }
     if result.variance_history.shape[1]:
         out["booster"]["variance_gap"] = variance_gap(result.variance_history[:, -1], y)

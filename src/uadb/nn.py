@@ -55,8 +55,8 @@ class TrainSpec:
             raise ValueError(f"need epochs >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"need batch_size >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"need learning_rate > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"need finite learning_rate > 0, got {self.learning_rate}")
 
 
 def _shapes(d: int, hidden: int) -> list[tuple[int, ...]]:

@@ -19,14 +19,10 @@ regenerated in any language. The construction is counter-based:
 * permutations: stable argsort of n fresh 64-bit outputs
 
 Because each output depends only on (seed, k), block generation and
-one-at-a-time generation yield identical sequences. Scalar draws
-(``Stream.next_uniform``, ``Stream.index``) and block draws (``u64``,
-``uniform``, ``normal``, ``permutation``) advance one shared counter, so
-any interleaving of them reads the same outputs as one block of the
-total length. A scalar draw runs the pure-Python ``mix64`` and skips
-numpy's per-call overhead. ``uniform_at`` reads one given draw from each of
-many streams at once; a caller that advances many streams in lockstep (the
-isolation forest's trees) keeps their counters itself.
+one-at-a-time generation yield identical sequences. ``uniform_at`` reads one
+given draw from each of many streams at once; a caller that advances many
+streams in lockstep (the isolation forest's trees) keeps their counters
+itself.
 """
 
 from __future__ import annotations
@@ -79,14 +75,14 @@ def _unit(z: np.ndarray) -> np.ndarray:
 def uniform_at(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Uniform number ``counters[i]`` (1-based) of stream ``seeds[i]``, for many streams at once.
 
-    Both are uint64 arrays that broadcast together. Each double equals what
-    ``Stream(seed).next_uniform()`` returns as its ``counter``-th draw.
+    Both are uint64 arrays that broadcast together. Each double equals
+    ``Stream(seed).uniform(counter)[-1]``.
     """
     return _unit(_outputs(seeds, counters))
 
 
 def indices(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """``Stream.index``'s rule on arrays: uniforms ``u`` to integers on [0, bounds)."""
+    """Uniforms ``u`` to integers on [0, bounds): ``min(floor(u * bound), bound - 1)``."""
     return np.minimum((u * bounds).astype(np.intp), bounds - 1)
 
 
@@ -124,12 +120,3 @@ class Stream:
     def permutation(self, n: int) -> np.ndarray:
         """A random permutation of range(n)."""
         return np.argsort(self.u64(n), kind="stable")
-
-    def next_uniform(self) -> float:
-        """The next double in [0, 1) as a Python float, equal to ``uniform(1)[0]``."""
-        self._count += 1
-        return (mix64(self._seed + self._count * GOLDEN) >> 11) * 2.0**-53
-
-    def index(self, bound: int) -> int:
-        """One integer uniform on [0, bound)."""
-        return min(int(self.next_uniform() * bound), bound - 1)

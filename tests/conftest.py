@@ -11,10 +11,16 @@ from uadb import (
     generate_synthetic,
     run_booster,
 )
+from uadb.rng import Stream, indices
 
 # Acceptance verdict lines, echoed after the run so they survive output
 # capture (tests/test_acceptance.py appends one line per criterion).
 ACCEPTANCE_LINES: list[str] = []
+
+
+def draw_index(stream: Stream, bound: int) -> int:
+    """One integer uniform on [0, bound) from the stream's next draw."""
+    return int(indices(stream.uniform(1), bound)[0])
 
 
 def pytest_terminal_summary(terminalreporter):

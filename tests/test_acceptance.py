@@ -125,7 +125,7 @@ def test_criterion_2_metric_oracles():
     start = time.monotonic()
     worst = 0.0
     for trial in range(500):
-        n = 2 + stream.index(49)
+        n = 2 + conftest.draw_index(stream, 49)
         scores = stream.uniform(n)
         if trial % 2 == 0:
             scores = np.round(scores, 1)  # tie-heavy half
@@ -185,8 +185,8 @@ def test_criterion_4_knn_and_variance_oracles():
     stream = Stream(4004)
     worst_var = 0.0
     for _ in range(50):
-        n = 2 + stream.index(40)
-        t = 1 + stream.index(8)
+        n = 2 + conftest.draw_index(stream, 40)
+        t = 1 + conftest.draw_index(stream, 8)
         history = np.column_stack([stream.uniform(n) for _ in range(t)])
         current = stream.uniform(n)
         got = per_instance_variance(history, current)

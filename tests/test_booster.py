@@ -29,10 +29,12 @@ from uadb import (
     TrainSpec,
     ablation_scores,
     aucroc,
+    average_precision,
     classify_cases,
     correction_trace,
     fit_score,
     generate_synthetic,
+    iteration_metrics,
     minmax_values,
     per_instance_variance,
     run_booster,
@@ -213,7 +215,8 @@ def test_history_columns_per_strategy(strategy, columns):
     assert res.label_history.dtype == np.float64 and res.label_history.flags.c_contiguous
     assert res.variance_history.shape == (30, cfg.T if strategy is Strategy.UADB else 0)
     assert res.variance_history.dtype == np.float64
-    assert len(res.diagnostics) == (1 if columns == 1 else 3)
+    assert res.predictions.shape == (30, 1 if columns == 1 else cfg.T)
+    assert res.predictions.dtype == np.float64
 
 
 def test_variance_history_only_for_uadb():
@@ -387,24 +390,27 @@ def test_constant_teacher_degenerates_to_half():
     assert np.all(res.label_history[:, 0] == 0.5)
 
 
-def test_unlabeled_dataset_has_no_diagnostics():
+def test_labels_never_reach_the_booster():
+    """Labeled, unlabeled and one-class datasets over the same features give the same run."""
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=6)
-    bare = Dataset(features=ds.features, name="bare")
-    teacher = fit_score(bare, DetectorParams(kind=DetectorKind.KNN))
-    res = run_booster(bare, teacher, BoosterConfig(T=1, fold_count=1))
-    assert res.diagnostics == ()
-
-
-@pytest.mark.parametrize("label", [0, 1])
-def test_single_class_labels_skip_diagnostics_and_keep_scores(label):
-    ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=6)
-    bare = Dataset(features=ds.features)
-    one_class = Dataset(features=ds.features, labels=np.full(ds.n, label))
-    teacher = fit_score(bare, DetectorParams(kind=DetectorKind.KNN))
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
     cfg = BoosterConfig(T=2, fold_count=2)
-    res = run_booster(one_class, teacher, cfg)
-    assert res.diagnostics == ()
-    assert np.array_equal(res.final_scores, run_booster(bare, teacher, cfg).final_scores)
+    ref = run_booster(ds, teacher, cfg)
+    for labels in (None, np.zeros(ds.n), np.ones(ds.n)):
+        res = run_booster(Dataset(features=ds.features, labels=labels), teacher, cfg)
+        for name in ("final_scores", "label_history", "variance_history", "predictions"):
+            assert np.array_equal(getattr(res, name), getattr(ref, name)), (labels, name)
+
+
+def test_iteration_metrics_score_each_round_of_predictions():
+    ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=6)
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
+    res = run_booster(ds, teacher, BoosterConfig(T=3, fold_count=2))
+    assert iteration_metrics(res, ds.labels) == [
+        {"iteration": t + 1, "aucroc": aucroc(p, ds.labels), "ap": average_precision(p, ds.labels)}
+        for t, p in enumerate(res.predictions.T)
+    ]
+    assert [type(v) for v in iteration_metrics(res, ds.labels)[0].values()] == [int, float, float]
 
 
 # seeded end-to-end behavior, default configuration
@@ -617,7 +623,7 @@ def test_discrepancy_scores_follow_their_definition(strategy, base):
     want = np.abs(raw - minmax_values(teacher)) / 2.0
     assert np.array_equal(got.final_scores, (want - want.min()) / (want.max() - want.min()))
     assert np.array_equal(got.label_history, ref.label_history)
-    assert got.diagnostics == ref.diagnostics and got.variance_history.shape == (40, 0)
+    assert np.array_equal(got.predictions, ref.predictions) and got.variance_history.shape == (40, 0)
 
 
 @pytest.mark.parametrize("fold_count", [1, 3])
@@ -633,6 +639,20 @@ def test_ablation_scores_equal_per_strategy_runs(kind, fold_count):
     ]
     for strategy, got in scores.items():
         assert np.array_equal(got, run_booster(ds, teacher, replace(cfg, strategy=strategy)).final_scores), strategy
+
+
+def test_ablation_never_evaluates_with_labels(monkeypatch):
+    """Labels travel with the dataset, yet no metric runs while the strategies train."""
+    ds = generate_synthetic(SyntheticKind.LOCAL, n=40, seed=6)
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
+
+    def refuse(*args):
+        raise AssertionError("a metric ran inside the booster")
+
+    monkeypatch.setattr(uadb.booster, "aucroc", refuse)
+    monkeypatch.setattr(uadb.booster, "average_precision", refuse)
+    scores = ablation_scores(ds, teacher, BoosterConfig(T=2, fold_count=2, train=TrainSpec(epochs=2)))
+    assert len(scores) == len(Strategy)
 
 
 def test_benchmark_patch_points_exist():

@@ -378,9 +378,10 @@ def test_boost_grid_checks_run_before_training(tmp_path, capsys, d, grid_size, c
         ["--epochs", "0"],
         ["--batch-size", "0"],
         ["--learning-rate", "0"],
+        ["--learning-rate", "inf"],
         {"iterations": 0},
     ],
-    ids=["iterations", "folds", "epochs", "batch-size", "learning-rate", "config-iterations"],
+    ids=["iterations", "folds", "epochs", "batch-size", "learning-rate", "learning-rate-inf", "config-iterations"],
 )
 def test_bad_booster_setting_is_usage_error_before_reading_data(
     clustered_csv, tmp_path, capsys, monkeypatch, command, setting
@@ -399,6 +400,17 @@ def test_bad_booster_setting_is_usage_error_before_reading_data(
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("usage error: need ")
     assert not any(path.exists() for path in outputs.values())
+
+
+# a diverging run overflows inside training; numpy's warnings print, the run still ends in one error
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@pytest.mark.parametrize("strategy", ["naive", "uadb", "self"])
+def test_diverged_training_is_data_error_before_writing(clustered_csv, tmp_path, capsys, strategy):
+    scores = tmp_path / "scores.txt"
+    args = ["boost", "--data", str(clustered_csv), "--teacher", "hbos", "--strategy", strategy]
+    assert main([*args, "--learning-rate", "1e300", "--scores-out", str(scores)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: round 1 diverged: learning rate 1e+300 is too large"
+    assert not scores.exists()
 
 
 @pytest.mark.parametrize("command", ["detect", "boost", "ablate"])

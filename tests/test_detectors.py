@@ -81,7 +81,7 @@ def _build_iso_tree(X: np.ndarray, depth: int, limit: int, stream: Stream) -> _I
     candidates = np.flatnonzero(spans > 0.0)
     if candidates.size == 0:
         return _IsoNode(None, 0.0, m)
-    # block draws only, never the scalar path under test: Stream.index inlined on uniform(1)
+    # block draws only, the index rule written out: never the vectorised path under test
     u = float(stream.uniform(1)[0])
     f = int(candidates[min(int(u * candidates.size), candidates.size - 1)])
     lo = X[:, f].min()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import draw_index
 from scipy.stats import rankdata
 
 from uadb import (
@@ -46,13 +47,13 @@ def _oracle_ap(scores, labels):
 
 
 def _random_instance(stream, tie_heavy):
-    n = 2 + stream.index(49)
+    n = 2 + draw_index(stream, 49)
     scores = stream.uniform(n)
     if tie_heavy:
         scores = np.round(scores, 1)
     labels = (stream.uniform(n) < 0.4).astype(np.int64)
-    labels[stream.index(n)] = 1  # force both classes
-    labels[stream.index(n)] = 0
+    labels[draw_index(stream, n)] = 1  # force both classes
+    labels[draw_index(stream, n)] = 0
     if labels.sum() in (0, n):
         labels[0] = 1
         labels[-1] = 0
@@ -66,12 +67,12 @@ def _random_instance(stream, tie_heavy):
 def test_average_ranks_match_scipy_rankdata():
     stream = Stream(40)
     for i in range(600):
-        n = 1 + stream.index(50)
+        n = 1 + draw_index(stream, 50)
         x = stream.normal(n)
         if i % 3 == 1:
             x = np.floor(x * 2.0)  # heavy ties
         elif i % 3 == 2:
-            x[stream.index(n)] = -np.inf
+            x[draw_index(stream, n)] = -np.inf
         assert np.array_equal(_average_ranks(x), rankdata(x, method="average"))
     assert _average_ranks(np.empty(0)).shape == (0,)
     assert np.isnan(_average_ranks(np.array([0.5, np.nan, 0.2]))).all()

@@ -296,6 +296,8 @@ def test_train_spec_validation():
         TrainSpec(batch_size=0)
     with pytest.raises(ValueError):
         TrainSpec(learning_rate=0.0)
+    with pytest.raises(ValueError, match="need finite learning_rate > 0"):
+        TrainSpec(learning_rate=math.inf)
 
 
 def test_train_requires_normalized_targets():

@@ -49,6 +49,9 @@ def test_block_equals_one_at_a_time():
     s2 = Stream(7)
     mixed = np.concatenate([s2.u64(3), s2.u64(4), s2.u64(3)])
     assert np.array_equal(block, mixed)
+    s3 = Stream(7)  # uniform and u64 draws advance one counter
+    assert np.array_equal(s3.uniform(4), (block[:4] >> np.uint64(11)) * 2.0**-53)
+    assert np.array_equal(s3.u64(6), block[4:])
 
 
 def test_uniform_range_and_construction():
@@ -83,41 +86,9 @@ def test_permutation_deterministic():
 
 
 def test_index_bounds():
-    s = Stream(4)
-    draws = [s.index(7) for _ in range(500)]
-    assert min(draws) >= 0 and max(draws) <= 6
-    assert len(set(draws)) == 7  # all residues reachable
-
-
-_OPS = st.one_of(
-    st.just(("next_uniform", 1)),
-    st.tuples(st.just("index"), st.integers(min_value=1, max_value=2**40)),
-    st.tuples(st.just("u64"), st.integers(min_value=1, max_value=5)),
-    st.tuples(st.just("uniform"), st.integers(min_value=1, max_value=5)),
-)
-
-
-@given(st.integers(min_value=0, max_value=_MASK), st.lists(_OPS, max_size=30))
-def test_scalar_and_block_draws_share_one_counter(seed, ops):
-    """Any interleaving of scalar and block draws reads one uniform block in order."""
-    total = sum(1 if op == "index" else k for op, k in ops)
-    block = Stream(seed).uniform(total + 1)
-    raw = Stream(seed).u64(total)
-    s = Stream(seed)
-    at = 0
-    for op, k in ops:
-        if op == "next_uniform":
-            u = s.next_uniform()
-            assert type(u) is float and u == block[at]
-        elif op == "index":  # k is the bound here; one draw
-            i = s.index(k)
-            assert 0 <= i < k and i == min(int(block[at] * k), k - 1)
-        elif op == "u64":
-            assert np.array_equal(s.u64(k), raw[at : at + k])
-        else:
-            assert np.array_equal(s.uniform(k), block[at : at + k])
-        at += 1 if op == "index" else k
-    assert s.next_uniform() == block[total]  # the counter stands at the total length
+    draws = indices(Stream(4).uniform(500), 7)
+    assert draws.min() >= 0 and draws.max() <= 6
+    assert len(set(draws.tolist())) == 7  # all residues reachable
 
 
 _DRAW_AT = st.tuples(
@@ -129,18 +100,15 @@ _DRAW_AT = st.tuples(
 
 @given(st.lists(_DRAW_AT, min_size=1, max_size=8))
 def test_uniform_at_matches_scalar_draws_at_the_same_counter(cases):
-    """Many streams at once, each at its own counter, read what each stream's scalar draws read there."""
+    """Many streams at once, each at its own counter, read what each stream's own block reads there."""
     seeds = np.array([seed for seed, _, _ in cases], dtype=np.uint64)
     counters = np.array([k for _, k, _ in cases], dtype=np.uint64)
     u = uniform_at(seeds, counters)
     picks = indices(u, np.array([bound for _, _, bound in cases]))
     for (seed, k, bound), got, pick in zip(cases, u.tolist(), picks.tolist()):
-        before = Stream(seed)
-        before.u64(k - 1)
-        assert got == before.next_uniform()
-        before = Stream(seed)
-        before.u64(k - 1)
-        assert pick == before.index(bound)
+        want = float(Stream(seed).uniform(k)[-1])
+        assert got == want
+        assert pick == min(int(want * bound), bound - 1)
     # broadcast: one stream's draws 1..k in a row equal its uniform block
     row = uniform_at(seeds[:1, None], np.arange(1, 9, dtype=np.uint64))
     assert np.array_equal(row, Stream(cases[0][0]).uniform(8)[None])
