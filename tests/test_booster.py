@@ -390,16 +390,25 @@ def test_constant_teacher_degenerates_to_half():
     assert np.all(res.label_history[:, 0] == 0.5)
 
 
-def test_labels_never_reach_the_booster():
-    """Labeled, unlabeled and one-class datasets over the same features give the same run."""
+def _assert_same_run_as_labeled(labels):
+    """A dataset with these labels over the labeled dataset's features gives the labeled run."""
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=6)
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
     cfg = BoosterConfig(T=2, fold_count=2)
     ref = run_booster(ds, teacher, cfg)
-    for labels in (None, np.zeros(ds.n), np.ones(ds.n)):
-        res = run_booster(Dataset(features=ds.features, labels=labels), teacher, cfg)
-        for name in ("final_scores", "label_history", "variance_history", "predictions"):
-            assert np.array_equal(getattr(res, name), getattr(ref, name)), (labels, name)
+    res = run_booster(Dataset(features=ds.features, labels=labels), teacher, cfg)
+    for name in ("final_scores", "label_history", "variance_history", "predictions"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+    assert not hasattr(res, "diagnostics")
+
+
+def test_unlabeled_dataset_has_no_diagnostics():
+    _assert_same_run_as_labeled(None)
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_single_class_labels_skip_diagnostics_and_keep_scores(label):
+    _assert_same_run_as_labeled(np.full(30, label))
 
 
 def test_iteration_metrics_score_each_round_of_predictions():

@@ -49,9 +49,6 @@ def test_block_equals_one_at_a_time():
     s2 = Stream(7)
     mixed = np.concatenate([s2.u64(3), s2.u64(4), s2.u64(3)])
     assert np.array_equal(block, mixed)
-    s3 = Stream(7)  # uniform and u64 draws advance one counter
-    assert np.array_equal(s3.uniform(4), (block[:4] >> np.uint64(11)) * 2.0**-53)
-    assert np.array_equal(s3.u64(6), block[4:])
 
 
 def test_uniform_range_and_construction():
@@ -89,6 +86,33 @@ def test_index_bounds():
     draws = indices(Stream(4).uniform(500), 7)
     assert draws.min() >= 0 and draws.max() <= 6
     assert len(set(draws.tolist())) == 7  # all residues reachable
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("index"), st.integers(min_value=1, max_value=2**40)),
+    st.tuples(st.just("u64"), st.integers(min_value=1, max_value=5)),
+    st.tuples(st.just("uniform"), st.integers(min_value=1, max_value=5)),
+)
+
+
+@given(st.integers(min_value=0, max_value=_MASK), st.lists(_OPS, max_size=30))
+def test_scalar_and_block_draws_share_one_counter(seed, ops):
+    """Any interleaving of single index draws and u64/uniform blocks reads one uniform block in order."""
+    total = sum(1 if op == "index" else k for op, k in ops)
+    block = Stream(seed).uniform(total + 1)
+    raw = Stream(seed).u64(total)
+    s = Stream(seed)
+    at = 0
+    for op, k in ops:
+        if op == "index":  # k is the bound here; one draw
+            i = int(indices(s.uniform(1), k)[0])
+            assert 0 <= i < k and i == min(int(block[at] * k), k - 1)
+        elif op == "u64":
+            assert np.array_equal(s.u64(k), raw[at : at + k])
+        else:
+            assert np.array_equal(s.uniform(k), block[at : at + k])
+        at += 1 if op == "index" else k
+    assert s.uniform(1)[0] == block[total]  # the counter stands at the total length
 
 
 _DRAW_AT = st.tuples(
