@@ -231,8 +231,11 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
         held = np.flatnonzero(folds == f)
         rows = np.flatnonzero(folds != f) if cfg.fold_count > 1 else held
         spec = replace(cfg.train, seed=derive(cfg.seed, _TAG_TRAIN_SHUFFLE, t, f))
-        models[f] = train(models[f], X[rows], targets[rows], spec)
-        p[held] = forward(models[f], X[held])
+        # diverging training overflows; the finiteness check on p reports it. Entered here because
+        # numpy's error state belongs to a thread, and pool threads do not inherit the caller's
+        with np.errstate(over="ignore", invalid="ignore"):
+            models[f] = train(models[f], X[rows], targets[rows], spec)
+            p[held] = forward(models[f], X[held])
 
     # each round trains on history[-1]; uadb and self append the next round's targets, naive runs one round
     history = [minmax_values(teacher)]

@@ -22,6 +22,7 @@ import csv
 import enum
 import io
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -100,57 +101,89 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+# a line and its end (\r\n, \r or \n), as csv reads lines from io.StringIO(text, newline="")
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
 def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
     """Load a dataset from a headered, comma-separated UTF-8 file.
 
-    All non-label cells must parse as finite ASCII decimal reals; the label
-    column, when named, must contain only 0 and 1. Non-finite cells are
-    rejected rather than imputed.
+    The header is read with csv, the body in one np.loadtxt call. A cell is
+    a real that both np.loadtxt and float() read: ASCII sign, digits, point
+    and exponent (no digit separators, hex, "#" or non-ASCII digits),
+    optionally quoted with '"' and surrounded by spaces or tabs. Every cell
+    must be finite, and the label column, when named, must contain only 0
+    and 1; non-finite cells are rejected rather than imputed. Blank lines
+    are skipped. When a file breaks a rule, a cell-by-cell scan of the body
+    names the first bad row or cell.
     """
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    text = read_text(path)
+    lines = _LINE.finditer(text)
     try:
-        header = next(reader)
+        header = [h.strip() for h in next(csv.reader(m.group() for m in lines))]
     except StopIteration:
         raise DataError(f"empty table: {path}") from None
-    header = [h.strip() for h in header]
-    rows = [row for row in reader if row]
-    if not rows:
+    start = next((m.start() for m in lines if m.group().strip("\r\n")), None)  # the first data line
+    if start is None:
         raise DataError(f"empty table: {path} has a header but no data rows")
 
-    if label_column is not None:
-        if label_column not in header:
-            raise DataError(f"label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
-    else:
-        label_idx = -1
+    if label_column is not None and label_column not in header:
+        raise DataError(f"label column {label_column!r} not in header {header}")
+    label_idx = None if label_column is None else header.index(label_column)
 
-    features = []
-    labels = []
+    table = _parse_body(text, start)
+    if (
+        table is None
+        or table.shape[1] != len(header)
+        or not np.isfinite(table).all()
+        or (label_idx is not None and not np.isin(table[:, label_idx], (0, 1)).all())
+    ):
+        raise _first_bad_cell(path, header, label_idx, text[start:])
+    if label_idx is None:
+        return Dataset(features=table, name=path.stem)
+    return Dataset(features=np.delete(table, label_idx, axis=1), labels=table[:, label_idx], name=path.stem)
+
+
+def _parse_body(text: str, start: int) -> np.ndarray | None:
+    """The lines of text from offset start as one float64 table, or None if np.loadtxt refuses them.
+
+    None also where a line holds a character that np.loadtxt strips from a
+    cell as whitespace and float() does not: \x1c-\x1f and non-ASCII spaces.
+    """
+    if any(text.find(c, start) >= 0 for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    body = io.BytesIO(text.encode())
+    body.seek(len(text[:start].encode()))  # the header may be non-ASCII, the body may not
+    try:
+        return np.loadtxt(
+            io.TextIOWrapper(body, encoding="ascii", newline=""),
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=2,
+            dtype=np.float64,
+        )
+    except ValueError:  # a UnicodeDecodeError is one
+        return None
+
+
+def _first_bad_cell(path: Path, header: list[str], label_idx: int | None, body: str) -> DataError:
+    """The error naming the first row or cell of body that breaks load_csv's rules, found cell by cell."""
+    rows = (row for row in csv.reader(io.StringIO(body, newline="")) if row)
     for r, row in enumerate(rows, start=2):
         if len(row) != len(header):
-            raise DataError(f"{path}:{r}: expected {len(header)} cells, got {len(row)}")
-        feat_row = []
+            return DataError(f"{path}:{r}: expected {len(header)} cells, got {len(row)}")
         for c, cell in enumerate(row):
             try:
                 value = float(cell) if _plain(cell) else math.nan
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise DataError(f"{path}:{r}: non-numeric cell {cell.strip()!r} in column {header[c]!r}")
-            if c == label_idx:
-                if value not in (0.0, 1.0):
-                    raise DataError(f"{path}:{r}: label value {cell.strip()!r} outside {{0, 1}}")
-                labels.append(int(value))
-            else:
-                feat_row.append(value)
-        features.append(feat_row)
-
-    return Dataset(
-        features=np.array(features, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64) if label_column is not None else None,
-        name=path.stem,
-    )
+                return DataError(f"{path}:{r}: non-numeric cell {cell.strip()!r} in column {header[c]!r}")
+            if c == label_idx and value not in (0.0, 1.0):
+                return DataError(f"{path}:{r}: label value {cell.strip()!r} outside {{0, 1}}")
+    return DataError(f"{path}: not a table of finite numbers")
 
 
 def read_text(path: str | Path) -> str:

@@ -192,7 +192,7 @@ class _Workspace:
         np.matmul(a2.T, g3, out=gw[2])
         np.sum(g3, axis=0, out=gb[2])
         np.greater(a2, 0.0, out=mask)
-        np.matmul(g3, m.weights[2].T, out=g2)
+        np.multiply(g3, m.weights[2].T, out=g2)  # (rows, 1) x (1, hidden): an outer product
         g2 *= mask
         np.matmul(a1.T, g2, out=gw[1])
         np.sum(g2, axis=0, out=gb[1])

@@ -1,10 +1,15 @@
 """Dataset and score files, scaling, and the four synthetic generators."""
 
+import csv
 import hashlib
+import io
+import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uadb import (
@@ -116,6 +121,134 @@ def test_load_csv_drops_byte_order_mark(tmp_path):
     path.write_bytes(b"\xef\xbb\xbfa\n\xff\n")
     with pytest.raises(DataError, match="at byte 5\\)"):
         load_csv(path)
+
+
+def _scan_csv(path, label_column=None):
+    """Reference reader: csv rows, each cell through float() if it is plain ASCII without "_", then finite.
+
+    Returns the Dataset or the DataError message load_csv must give.
+    """
+    reader = csv.reader(io.StringIO(path.read_text(encoding="utf-8").removeprefix("\ufeff"), newline=""))
+    header = [h.strip() for h in next(reader)]
+    rows = [row for row in reader if row]
+    if not rows:
+        return f"empty table: {path} has a header but no data rows"
+    if label_column is not None and label_column not in header:
+        return f"label column {label_column!r} not in header {header}"
+    label_idx = header.index(label_column) if label_column is not None else -1
+    features, labels = [], []
+    for r, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            return f"{path}:{r}: expected {len(header)} cells, got {len(row)}"
+        for c, cell in enumerate(row):
+            try:
+                value = float(cell) if cell.isascii() and "_" not in cell else math.nan
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                return f"{path}:{r}: non-numeric cell {cell.strip()!r} in column {header[c]!r}"
+            if c == label_idx:
+                if value not in (0.0, 1.0):
+                    return f"{path}:{r}: label value {cell.strip()!r} outside {{0, 1}}"
+                labels.append(int(value))
+        features.append([float(cell) for c, cell in enumerate(row) if c != label_idx])
+    try:
+        return Dataset(features=np.array(features, dtype=np.float64), labels=labels if label_column else None)
+    except DataError as e:
+        return str(e)
+
+
+_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.builds(
+        "{}{}{}e{}{}".format,
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["0", "1", "12", "", "007"]),
+        st.sampled_from([".", ".5", "", ".25"]),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 330),
+    ).filter(lambda s: any(ch.isdigit() for ch in s.split("e")[0])),
+    st.sampled_from(["0", "1", "-0", "+.5", "1.", "1e-400", "1E+05", "0.0", "1.0"]),
+)
+_ODD_CELLS = st.sampled_from(
+    ["", " ", "#", "1#2", "1_0", "\u0663", "0x10", "nan", "NaN", "inf", "-Infinity", "1e999", "1e", ".", "1 2",
+     "'1'", '"1,5"', '"1""2"', '"1"2', '1"2"', ' "1"', '"1" "2"', '"1\n2"', "2", "0.5", "\x00"]
+)
+_PADS = st.sampled_from(["", "", "", " ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u3000", "#"])
+
+
+@st.composite
+def _csv_files(draw):
+    """A CSV text with 1-3 columns, maybe a label column, drawn cells, line ends and blank lines."""
+    width = draw(st.integers(1, 3))
+    labeled = draw(st.booleans())
+    header = [f"x{j}" for j in range(width)] + (["label"] * labeled)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        cells = [draw(_GOOD_CELLS) for _ in range(width)]
+        if labeled:
+            cells.append(draw(st.sampled_from(["0", "1", " 1", '"0"', "-0", "1.0", "2"])))
+        if draw(st.booleans()):  # quote or pad one cell
+            j = draw(st.integers(0, len(cells) - 1))
+            cells[j] = draw(st.sampled_from(['"{}"', "{}", "{} ", " {}"])).format(cells[j])
+            cells[j] = draw(_PADS) + cells[j] + draw(_PADS)
+        rows.append(cells)
+    for _ in range(draw(st.integers(0, 2))):  # break the table: a cell, a row's length, a blank-looking line
+        r = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["cell", "short", "long", "space"]))
+        if edit == "cell" and rows[r]:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(_ODD_CELLS)
+        elif edit == "short":
+            rows[r] = rows[r][:-1]
+        elif edit == "long":
+            rows[r] = rows[r] + [draw(_GOOD_CELLS)]
+        else:
+            rows.insert(r, [draw(st.sampled_from([" ", "\t"]))])
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):  # blank lines anywhere after the header
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return (text if draw(st.booleans()) else text.rstrip("\r\n")), ("label" if labeled else None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_files())
+def test_load_csv_matches_the_cell_scan(tmp_path_factory, drawn):
+    text, label_column = drawn
+    path = tmp_path_factory.getbasetemp() / "parity.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = _scan_csv(path, label_column)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on a body with no data; none may reach the CLI
+        try:
+            ds = load_csv(path, label_column=label_column)
+        except DataError as e:
+            assert str(e) == expected
+            return
+    assert not isinstance(expected, str), expected
+    assert ds.features.tobytes() == expected.features.tobytes() and ds.features.shape == expected.features.shape
+    assert ds.labels is None if label_column is None else ds.labels.tolist() == expected.labels.tolist()
+
+
+def test_load_csv_memory_stays_near_the_text_and_the_array(tmp_path):
+    # 50,000 rows of 10 features and a label; the reader must not hold a Python float per cell
+    n, d = 50_000, 10
+    stream = Stream(5)
+    ds = Dataset(features=stream.normal(n * d).reshape(n, d), labels=(stream.uniform(n) < 0.1).astype(np.int64))
+    path = tmp_path / "large.csv"
+    save_csv(ds, path)
+    text_bytes = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = load_csv(path, label_column="label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.features, ds.features) and np.array_equal(back.labels, ds.labels)
+    budget = 4 * (text_bytes + ds.features.nbytes)
+    assert peak < budget, f"peak {peak / 1e6:.1f} MB over 4 x ({text_bytes / 1e6:.1f} MB text + array)"
 
 
 # sha256 of each writer's bytes: CRLF line ends and every float's shortest repr, signed zero,
