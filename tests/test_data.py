@@ -92,6 +92,14 @@ def test_load_csv_rejects_bad_label_and_missing_file(tmp_path):
         load_csv(empty)
 
 
+def test_load_csv_header_with_a_quoted_line_break(tmp_path):
+    # csv reads the quoted line break as part of the name; the body starts on the line after it
+    path = _write(tmp_path, 'a,"lab\nel"\n1.0,0\n\n2.0,1\n')
+    ds = load_csv(path, label_column="lab\nel")
+    assert ds.features[:, 0].tolist() == [1.0, 2.0]
+    assert ds.labels.tolist() == [0, 1]
+
+
 def test_load_csv_non_utf8_names_file_offset(tmp_path):
     # the offset counts from the start of the file, past the first read buffer
     path = tmp_path / "bad.csv"
@@ -191,7 +199,7 @@ def _csv_files(draw):
             cells.append(draw(st.sampled_from(["0", "1", " 1", '"0"', "-0", "1.0", "2"])))
         if draw(st.booleans()):  # quote or pad one cell
             j = draw(st.integers(0, len(cells) - 1))
-            cells[j] = draw(st.sampled_from(['"{}"', "{}", "{} ", " {}"])).format(cells[j])
+            cells[j] = draw(st.sampled_from(['"{}"', '" {}\t"', '"{}\n"', '"\r\n{}"', "{}", "{} ", " {}"])).format(cells[j])
             cells[j] = draw(_PADS) + cells[j] + draw(_PADS)
         rows.append(cells)
     for _ in range(draw(st.integers(0, 2))):  # break the table: a cell, a row's length, a blank-looking line
