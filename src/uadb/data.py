@@ -96,13 +96,15 @@ def _binary_labels(labels, n: int) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def _plain(text: str) -> bool:
-    """True for ASCII text without "_": float() also reads digit separators (1_0) and non-ASCII digits."""
-    return text.isascii() and "_" not in text
+def _number(text: str) -> float | None:
+    """float(text) for ASCII text without "_", else None; None too where float() refuses it."""
+    try:
+        return float(text) if text.isascii() and "_" not in text else None  # float() reads 1_0 and non-ASCII digits
+    except ValueError:
+        return None
 
 
-# a line and its end (\r\n, \r or \n), as csv reads lines from io.StringIO(text, newline="")
-_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")  # a line and its \n, as csv reads lines from io.StringIO(text)
 
 
 def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
@@ -114,8 +116,8 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
     optionally quoted with '"' and surrounded by spaces or tabs. Every cell
     must be finite, and the label column, when named, must contain only 0
     and 1; non-finite cells are rejected rather than imputed. Blank lines
-    are skipped. When a file breaks a rule, a cell-by-cell scan of the body
-    names the first bad row or cell.
+    are skipped. When np.loadtxt or Dataset refuses the table, a
+    cell-by-cell scan names the file line of the first bad record or cell.
     """
     path = Path(path)
     text = read_text(path)
@@ -124,7 +126,7 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
         header = [h.strip() for h in next(csv.reader(m.group() for m in lines))]
     except StopIteration:
         raise DataError(f"empty table: {path}") from None
-    start = next((m.start() for m in lines if m.group().strip("\r\n")), None)  # the first data line
+    start = next((m.start() for m in lines if m.group() != "\n"), None)  # the first data line
     if start is None:
         raise DataError(f"empty table: {path} has a header but no data rows")
 
@@ -133,16 +135,14 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
     label_idx = None if label_column is None else header.index(label_column)
 
     table = _parse_body(text, start)
-    if (
-        table is None
-        or table.shape[1] != len(header)
-        or not np.isfinite(table).all()
-        or (label_idx is not None and not np.isin(table[:, label_idx], (0, 1)).all())
-    ):
-        raise _first_bad_cell(path, header, label_idx, text[start:])
-    if label_idx is None:
-        return Dataset(features=table, name=path.stem)
-    return Dataset(features=np.delete(table, label_idx, axis=1), labels=table[:, label_idx], name=path.stem)
+    try:
+        if table is None or table.shape[1] != len(header):
+            raise DataError(f"{path}: not a table of finite numbers")
+        if label_idx is None:
+            return Dataset(features=table, name=path.stem)
+        return Dataset(features=np.delete(table, label_idx, axis=1), labels=table[:, label_idx], name=path.stem)
+    except DataError as e:
+        raise _first_bad_cell(path, header, label_idx, text) or e from None
 
 
 def _parse_body(text: str, start: int) -> np.ndarray | None:
@@ -157,7 +157,7 @@ def _parse_body(text: str, start: int) -> np.ndarray | None:
     body.seek(len(text[:start].encode()))  # the header may be non-ASCII, the body may not
     try:
         return np.loadtxt(
-            io.TextIOWrapper(body, encoding="ascii", newline=""),
+            io.TextIOWrapper(body, encoding="ascii"),
             delimiter=",",
             quotechar='"',
             comments=None,
@@ -168,32 +168,35 @@ def _parse_body(text: str, start: int) -> np.ndarray | None:
         return None
 
 
-def _first_bad_cell(path: Path, header: list[str], label_idx: int | None, body: str) -> DataError:
-    """The error naming the first row or cell of body that breaks load_csv's rules, found cell by cell."""
-    rows = (row for row in csv.reader(io.StringIO(body, newline="")) if row)
-    for r, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            return DataError(f"{path}:{r}: expected {len(header)} cells, got {len(row)}")
+def _first_bad_cell(path: Path, header: list[str], label_idx: int | None, text: str) -> DataError | None:
+    """The error naming the file line of the first record after the header that breaks load_csv's rules, or None."""
+    records = csv.reader(m.group() for m in _LINE.finditer(text))
+    next(records)  # the header
+    for row in records:
+        line = records.line_num - sum(cell.count("\n") for cell in row)  # a record breaks lines only in quotes
+        if row and len(row) != len(header):
+            return DataError(f"{path}:{line}: expected {len(header)} cells, got {len(row)}")
         for c, cell in enumerate(row):
-            try:
-                value = float(cell) if _plain(cell) else math.nan
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                return DataError(f"{path}:{r}: non-numeric cell {cell.strip()!r} in column {header[c]!r}")
+            value = _number(cell)
+            if value is None or not math.isfinite(value):
+                return DataError(f"{path}:{line}: non-numeric cell {cell.strip()!r} in column {header[c]!r}")
             if c == label_idx and value not in (0.0, 1.0):
-                return DataError(f"{path}:{r}: label value {cell.strip()!r} outside {{0, 1}}")
-    return DataError(f"{path}: not a table of finite numbers")
+                return DataError(f"{path}:{line}: label value {cell.strip()!r} outside {{0, 1}}")
+    return None
 
 
 def read_text(path: str | Path) -> str:
-    """A whole UTF-8 text file less one leading byte-order mark; DataError if missing or not UTF-8."""
+    r"""A whole UTF-8 text file less one leading byte-order mark; DataError if missing or not UTF-8.
+
+    Each line end (\r\n, \r or \n) comes back as \n, so line k of the text is line k of the file.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        text = Path(path).read_bytes().decode("utf-8")
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
@@ -214,23 +217,20 @@ def save_csv(ds: Dataset, path: str | Path) -> None:
 
 
 def import_scores(path: str | Path, n_expected: int) -> np.ndarray:
-    """Read one score per line (single-column CSV with a header also accepted)."""
+    """Read one score per line (single-column CSV with a header also accepted); errors name the file line."""
     path = Path(path)
-    lines = [ln for ln in map(str.strip, read_text(path).splitlines()) if ln]
-    values = []
-    header = ""
-    for i, line in enumerate(lines):
-        try:
-            if not _plain(line):
-                raise ValueError(line)
-            v = float(line)
-        except ValueError:
-            if i == 0:
-                header = f" (line 1 {line!r} was read as a header)"
+    values, header = [], ""
+    for i, line in enumerate(map(str.strip, read_text(path).split("\n")), start=1):
+        if not line:
+            continue
+        v = _number(line)
+        if v is None:
+            if not values and not header:  # the first entry
+                header = f" (line {i} {line!r} was read as a header)"
                 continue
-            raise DataError(f"{path}: line {i + 1}: non-numeric entry {line!r}") from None
+            raise DataError(f"{path}: line {i}: non-numeric entry {line!r}")
         if not math.isfinite(v):
-            raise DataError(f"{path}: line {i + 1}: non-finite entry {line!r}")
+            raise DataError(f"{path}: line {i}: non-finite entry {line!r}")
         values.append(v)
     if len(values) != n_expected:
         short = header if len(values) < n_expected else ""

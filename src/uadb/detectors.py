@@ -128,14 +128,13 @@ def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 # isolation forest
 
 
-def _avg_path_length(m: int) -> float:
-    """Expected path length of an unsuccessful BST search over m points."""
-    if m <= 1:
-        return 0.0
+def _avg_path_lengths(m: int) -> np.ndarray:
+    """c(0..m), m >= 1: the expected path length of an unsuccessful BST search over 0, 1, ..., m points."""
     from scipy.special import digamma  # imported here: only the isolation forest needs it
 
-    harmonic = float(digamma(m)) + np.euler_gamma  # H(m-1)
-    return 2.0 * harmonic - 2.0 * (m - 1) / m
+    sizes = np.arange(2.0, m + 1)
+    harmonic = digamma(sizes) + np.euler_gamma  # H(size - 1)
+    return np.concatenate([[0.0, 0.0], 2.0 * harmonic - 2.0 * (sizes - 1) / sizes])
 
 
 def _segment_ranges(XT: np.ndarray, rows: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +267,7 @@ def _fit_iforest(ds: Dataset, params: DetectorParams) -> np.ndarray:
         warnings.warn("all rows identical: isolation scores are uninformative", DegenerateDataWarning)
     m = min(params.subsample, n)
     limit = math.ceil(math.log2(m))
-    path_c = np.array([_avg_path_length(size) for size in range(m + 1)])
+    path_c = _avg_path_lengths(m)
     XT = np.ascontiguousarray(X.T)
     total = np.zeros(n)
     # a growing tree holds about 14m + 5d words: 2m - 1 nodes of four words, its

@@ -24,6 +24,7 @@ from uadb import (
     save_scores,
     scale_features,
 )
+from uadb.data import read_text
 from uadb.rng import Stream
 
 # ---------------------------------------------------------------------------
@@ -100,6 +101,26 @@ def test_load_csv_header_with_a_quoted_line_break(tmp_path):
     assert ds.labels.tolist() == [0, 1]
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("a,b\n\n\n1,x\n", ":4: non-numeric cell 'x' in column 'b'"),
+        # a quoted line break in the header and in a cell; CRLF, lone CR and LF line ends
+        ('a,"b\r\nc"\r\n1,2\r\n\r\n3,"4\n5"\r\n', ":5: non-numeric cell '4\\n5' in column 'b\\nc'"),
+        ('a,"b\rc"\r1,2\r\r3,"4\r5"\r', ":5: non-numeric cell '4\\n5' in column 'b\\nc'"),
+        ("a,label\r\n\r\n1,0\r\n\r\n2,3", ":5: label value '3' outside {0, 1}"),
+        ('a,b\n"1\n",2\n\n3\n', ":5: expected 2 cells, got 1"),
+    ],
+    ids=["blank-lines", "crlf", "cr", "label", "short-row"],
+)
+def test_load_csv_errors_name_the_file_line(tmp_path, text, error):
+    path = tmp_path / "lines.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(DataError) as e:
+        load_csv(path, label_column="label" if "label" in text else None)
+    assert str(e.value) == f"{path}{error}"
+
+
 def test_load_csv_non_utf8_names_file_offset(tmp_path):
     # the offset counts from the start of the file, past the first read buffer
     path = tmp_path / "bad.csv"
@@ -138,14 +159,18 @@ def _scan_csv(path, label_column=None):
     """
     reader = csv.reader(io.StringIO(path.read_text(encoding="utf-8").removeprefix("\ufeff"), newline=""))
     header = [h.strip() for h in next(reader)]
-    rows = [row for row in reader if row]
+    rows, end = [], reader.line_num  # a record starts on the file line after the last one read
+    for row in reader:
+        if row:
+            rows.append((end + 1, row))
+        end = reader.line_num
     if not rows:
         return f"empty table: {path} has a header but no data rows"
     if label_column is not None and label_column not in header:
         return f"label column {label_column!r} not in header {header}"
     label_idx = header.index(label_column) if label_column is not None else -1
     features, labels = [], []
-    for r, row in enumerate(rows, start=2):
+    for r, row in rows:
         if len(row) != len(header):
             return f"{path}:{r}: expected {len(header)} cells, got {len(row)}"
         for c, cell in enumerate(row):
@@ -240,6 +265,21 @@ def test_load_csv_matches_the_cell_scan(tmp_path_factory, drawn):
     assert ds.labels is None if label_column is None else ds.labels.tolist() == expected.labels.tolist()
 
 
+def test_read_text_of_a_crlf_file_holds_under_two_and_a_half_times_its_size(tmp_path):
+    # the bytes and their decoded text, not a third copy for the line-end translation
+    path = tmp_path / "crlf.csv"
+    save_csv(Dataset(features=Stream(6).normal(20_000 * 10).reshape(20_000, 10)), path)
+    text_bytes = path.stat().st_size
+    tracemalloc.start()
+    try:
+        text = read_text(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "\r" not in text and text.count("\n") == 20_001
+    assert peak < 2.5 * text_bytes, f"peak {peak / 1e6:.1f} MB for a {text_bytes / 1e6:.1f} MB file"
+
+
 def test_load_csv_memory_stays_near_the_text_and_the_array(tmp_path):
     # 50,000 rows of 10 features and a label; the reader must not hold a Python float per cell
     n, d = 50_000, 10
@@ -325,6 +365,32 @@ def test_import_scores_drops_byte_order_mark(tmp_path):
     path = tmp_path / "bom.txt"
     path.write_bytes(b"\xef\xbb\xbf0.5\n0.25\n0.75")
     assert import_scores(path, 3).tolist() == [0.5, 0.25, 0.75]
+
+
+def test_import_scores_errors_name_the_file_line(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_text("\n\nscore\n0.5\n\nx\n", encoding="utf-8")
+    with pytest.raises(DataError) as e:
+        import_scores(path, 2)
+    assert str(e.value) == f"{path}: line 6: non-numeric entry 'x'"
+    path.write_text("\n\nscore\n0.5\n", encoding="utf-8")
+    with pytest.raises(DataError) as e:
+        import_scores(path, 2)
+    assert str(e.value) == f"{path}: expected 2 scores, found 1 (line 3 'score' was read as a header)"
+    path.write_bytes(b"0.5\r\n\r\n0.25\r0.75\r\ninf\r\n")
+    with pytest.raises(DataError) as e:
+        import_scores(path, 4)
+    assert str(e.value) == f"{path}: line 5: non-finite entry 'inf'"
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_import_scores_breaks_lines_only_at_line_ends(tmp_path, sep):
+    # str.splitlines() also breaks at these; a score file line ends only in \n, \r\n or \r
+    path = tmp_path / "sep.txt"
+    path.write_text(f"0.1\n0.5{sep}0.7\n", encoding="utf-8")
+    with pytest.raises(DataError) as e:
+        import_scores(path, 3)
+    assert str(e.value) == f"{path}: line 2: non-numeric entry {'0.5' + sep + '0.7'!r}"
 
 
 def test_import_scores_short_count_names_the_line_read_as_header(tmp_path):

@@ -99,7 +99,7 @@ def _build_iso_tree(X: np.ndarray, depth: int, limit: int, stream: Stream) -> _I
     )
 
 
-def _iso_tree_paths(root: _IsoNode, X: np.ndarray) -> np.ndarray:
+def _iso_tree_paths(root: _IsoNode, X: np.ndarray, path_c: np.ndarray) -> np.ndarray:
     depths = np.zeros(X.shape[0])
     stack = [(root, np.arange(X.shape[0]), 0)]
     while stack:
@@ -107,7 +107,7 @@ def _iso_tree_paths(root: _IsoNode, X: np.ndarray) -> np.ndarray:
         if idx.size == 0:
             continue
         if node.feature is None:
-            depths[idx] = depth + detectors._avg_path_length(node.size)
+            depths[idx] = depth + path_c[node.size]
         else:
             mask = X[idx, node.feature] < node.split
             stack.append((node.left, idx[mask], depth + 1))
@@ -120,13 +120,14 @@ def _oracle_iforest(X: np.ndarray, trees: int, subsample: int, seed: int) -> np.
     n = len(X)
     m = min(subsample, n)
     limit = math.ceil(math.log2(m))
+    path_c = detectors._avg_path_lengths(m)
     total = np.zeros(n)
     for t in range(trees):
         stream = Stream(derive(seed, t))
         rows = stream.permutation(n)[:m]
         root = _build_iso_tree(X[rows], 0, limit, stream)
-        total += _iso_tree_paths(root, X)
-    return np.power(2.0, -(total / trees) / detectors._avg_path_length(m))
+        total += _iso_tree_paths(root, X, path_c)
+    return np.power(2.0, -(total / trees) / path_c[m])
 
 
 def _oracle_neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +274,7 @@ def test_iforest_wide_data_gathers_features_in_blocks(monkeypatch):
     # a chunk (5 trees at 2**14 words) and its gathered values stay within the budget twice over
     monkeypatch.setattr(detectors, "FOREST_BLOCK_ELEMENTS", 2**14)
     XT = np.ascontiguousarray(_random_points(47, 200, 400).T)
-    path_c = np.array([detectors._avg_path_length(size) for size in range(65)])
+    path_c = detectors._avg_path_lengths(64)
     tracemalloc.start()
     try:
         detectors._grow_trees(XT, [derive(0, t) for t in range(5)], 64, 6, path_c)
