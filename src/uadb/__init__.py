@@ -46,7 +46,6 @@ from .nn import (
     MlpModel,
     TrainSpec,
     forward,
-    gradient_check,
     init_mlp,
     train,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "fit_score",
     "forward",
     "generate_synthetic",
-    "gradient_check",
     "import_scores",
     "init_mlp",
     "iteration_metrics",

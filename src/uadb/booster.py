@@ -41,7 +41,7 @@ import numpy as np
 
 from .data import OVERFLOW_HINT, DataError, Dataset, _binary_labels, minmax_values
 from .metrics import _average_ranks, aucroc, average_precision, threshold_predictions
-from .nn import MlpModel, TrainSpec, _unit_targets, forward, init_mlp, train
+from .nn import MlpModel, TrainSpec, _matrix, _unit_targets, forward, init_mlp, train
 from .rng import Stream, derive
 
 # seed-derivation tags; keep distinct so streams never overlap
@@ -95,8 +95,9 @@ class InputConditioner:
     covariance; scale a per-direction robust spread (1.4826 * MAD). Where
     the MAD is exactly 0 (half or more of the rows share one value, as
     with sparse binary features) the direction's standard deviation
-    stands in; the scale is floored at 1e-12 so constant directions map
-    to zero rather than dividing by 0.
+    stands in, and the scale is floored at 1e-12. A direction whose eigenvalue
+    is at most lambda_max * d * eps (duplicated, summed or constant columns,
+    d > n, one-hot groups) holds only rounding noise: scale inf maps it to 0.
     """
 
     center: np.ndarray
@@ -110,16 +111,15 @@ class InputConditioner:
             cov = np.atleast_2d(np.cov(X - mu, rowvar=False, bias=True))
         if not np.all(np.isfinite(cov)):
             raise DataError(f"feature covariance {OVERFLOW_HINT}")
-        _, vecs = np.linalg.eigh(cov)
+        vals, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
         Z = (X - mu) @ vecs
         mad = np.median(np.abs(Z - np.median(Z, axis=0)), axis=0) * 1.4826
-        spread = np.where(mad > 0.0, mad, Z.std(axis=0))
-        return cls(mu, vecs, np.maximum(spread, 1e-12))
+        spread = np.maximum(np.where(mad > 0.0, mad, Z.std(axis=0)), 1e-12)
+        null = vals <= vals[-1] * len(vals) * np.finfo(np.float64).eps
+        return cls(mu, vecs, np.where(null, np.inf, spread))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.center.shape[0]:
-            raise ValueError(f"expected shape (n, {self.center.shape[0]}), got {X.shape}")
+        X = _matrix(X, self.center.shape[0])
         return (X - self.center) @ self.rotation / self.scale @ self.rotation.T
 
 

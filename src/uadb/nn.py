@@ -4,8 +4,7 @@ Architecture d -> hidden -> hidden -> 1 (hidden = 128 by default), rectifier
 activations, logistic output so scores land in (0, 1). The optimizer is
 adaptive-moment estimation with decay rates 0.9/0.999 and stabilizer 1e-8.
 Mini-batch shuffling, weight init, and therefore entire training runs are
-deterministic given the seeds. A finite-difference gradient check validates
-the analytic backward pass.
+deterministic given the seeds.
 
 Targets are continuous values in [0, 1], not hard classes. Both losses
 treat them as soft targets; cross-entropy is the default because its output
@@ -140,11 +139,17 @@ def _layers(m: MlpModel, X: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.nd
     return np.clip(_sigmoid(z3), _OUTPUT_EPS, 1.0 - _OUTPUT_EPS)[:, 0]
 
 
+def _matrix(X, d: int) -> np.ndarray:
+    """X as a float64 (n, d) array."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"expected shape (n, {d}), got {X.shape}")
+    return X
+
+
 def forward(m: MlpModel, X: np.ndarray) -> np.ndarray:
     """Score each row; output strictly inside (0, 1)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != m.d:
-        raise ValueError(f"expected shape (n, {m.d}), got {X.shape}")
+    X = _matrix(X, m.d)
     return _layers(m, X, np.empty((X.shape[0], m.hidden)), np.empty((X.shape[0], m.hidden)))
 
 
@@ -156,14 +161,6 @@ def _unit_targets(y, what: str) -> np.ndarray:
     if not np.all((y >= 0.0) & (y <= 1.0)):
         raise ValueError(f"{what} must lie in [0, 1]")
     return y
-
-
-def _loss(m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss) -> float:
-    """Full-batch loss value."""
-    pv = forward(m, X)
-    if loss is Loss.SQUARED_ERROR:
-        return float(np.mean((pv - y) ** 2))
-    return float(-np.mean(y * np.log(pv) + (1.0 - y) * np.log(1.0 - pv)))
 
 
 class _Workspace:
@@ -211,9 +208,7 @@ def train(m: MlpModel, X: np.ndarray, y: np.ndarray, spec: TrainSpec) -> MlpMode
     starts fresh at every call. The input model is not modified, so callers
     can chain calls to continue training.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != m.d:
-        raise ValueError(f"expected shape (n, {m.d}), got {X.shape}")
+    X = _matrix(X, m.d)
     n = X.shape[0]
     yv = _unit_targets(y, "training targets")
     if yv.size != n:
@@ -250,29 +245,3 @@ def train(m: MlpModel, X: np.ndarray, y: np.ndarray, spec: TrainSpec) -> MlpMode
             g /= scratch
             out.theta -= g
     return out
-
-
-def gradient_check(
-    m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss = Loss.CROSS_ENTROPY
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Intended for tiny models/batches; cost is two loss evaluations per
-    parameter with step 1e-5.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    h = 1e-5
-    worst = 0.0
-    probe = m.copy()
-    theta = probe.theta
-    for i, g in enumerate(_Workspace(m, X.shape[0]).gradient(m, X, yv, loss)):
-        keep = theta[i]
-        theta[i] = keep + h
-        hi = _loss(probe, X, yv, loss)
-        theta[i] = keep - h
-        lo = _loss(probe, X, yv, loss)
-        theta[i] = keep
-        fd = (hi - lo) / (2.0 * h)
-        worst = max(worst, abs(g - fd) / max(abs(g) + abs(fd), 1e-6))
-    return worst

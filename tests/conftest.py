@@ -1,5 +1,6 @@
-"""Shared fixtures: expensive seeded runs reused across test modules."""
+"""Shared fixtures and helpers: expensive seeded runs, the finite-difference gradient check."""
 
+import numpy as np
 import pytest
 
 from uadb import (
@@ -11,6 +12,7 @@ from uadb import (
     generate_synthetic,
     run_booster,
 )
+from uadb.nn import Loss, MlpModel, _Workspace, forward
 from uadb.rng import Stream, indices
 
 # Acceptance verdict lines, echoed after the run so they survive output
@@ -21,6 +23,40 @@ ACCEPTANCE_LINES: list[str] = []
 def draw_index(stream: Stream, bound: int) -> int:
     """One integer uniform on [0, bound) from the stream's next draw."""
     return int(indices(stream.uniform(1), bound)[0])
+
+
+def full_batch_loss(m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss) -> float:
+    """Full-batch loss value."""
+    pv = forward(m, X)
+    if loss is Loss.SQUARED_ERROR:
+        return float(np.mean((pv - y) ** 2))
+    return float(-np.mean(y * np.log(pv) + (1.0 - y) * np.log(1.0 - pv)))
+
+
+def gradient_check(
+    m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss = Loss.CROSS_ENTROPY
+) -> float:
+    """Max relative error between the gradient train steps with and central differences.
+
+    Intended for tiny models/batches; cost is two loss evaluations per
+    parameter with step 1e-5.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    h = 1e-5
+    worst = 0.0
+    probe = m.copy()
+    theta = probe.theta
+    for i, g in enumerate(_Workspace(m, X.shape[0]).gradient(m, X, yv, loss)):
+        keep = theta[i]
+        theta[i] = keep + h
+        hi = full_batch_loss(probe, X, yv, loss)
+        theta[i] = keep - h
+        lo = full_batch_loss(probe, X, yv, loss)
+        theta[i] = keep
+        fd = (hi - lo) / (2.0 * h)
+        worst = max(worst, abs(g - fd) / max(abs(g) + abs(fd), 1e-6))
+    return worst
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -4,6 +4,8 @@ One test per numbered criterion. Each computes its statistic through the
 public API (or the CLI), prints a single PASS/FAIL line with the measured
 numbers, and asserts the stated threshold and runtime budget. The booster
 runs use package defaults; the only knob the suite turns is the seed.
+Criterion 3 checks the gradient `train` steps with through a test helper,
+conftest.gradient_check, against central differences.
 """
 
 import time
@@ -25,7 +27,6 @@ from uadb import (
     correction_rate,
     fit_score,
     generate_synthetic,
-    gradient_check,
     init_mlp,
     per_instance_variance,
     run_booster,
@@ -158,7 +159,7 @@ def test_criterion_3_gradient_check():
         X = stream.normal(5 * d).reshape(5, d)
         y = stream.uniform(5)
         loss = Loss.SQUARED_ERROR if i % 2 == 0 else Loss.CROSS_ENTROPY
-        worst = max(worst, gradient_check(m, X, y, loss))
+        worst = max(worst, conftest.gradient_check(m, X, y, loss))
     elapsed = time.monotonic() - start
     ok = worst < 1e-4 and elapsed < 30.0
     _verdict(3, ok, f"50 models both losses, max relative error {worst:.2e} (<1e-4), {elapsed:.1f}s (<30s)")

@@ -43,7 +43,7 @@ from uadb import (
 )
 from uadb.booster import _assign_folds, _fold_workers
 from uadb.nn import forward, train
-from uadb.rng import Stream, derive
+from uadb.rng import Stream, derive, indices
 
 
 def _oracle_two_pass_variance(matrix: np.ndarray) -> np.ndarray:
@@ -499,11 +499,17 @@ def test_score_points_uses_training_transform(clustered_default_run):
     assert s[1] > s[0]
 
 
-@pytest.mark.parametrize("width", [1, 3])
-def test_score_points_refuses_wrong_width(clustered_default_run, width):
+@pytest.mark.parametrize("X", [np.zeros(3), np.zeros((3, 1)), np.zeros((3, 3))], ids=["1-d", "narrow", "wide"])
+@pytest.mark.parametrize("call", ["forward", "train", "score_points"])
+def test_feature_matrix_check_names_the_expected_shape(clustered_default_run, call, X):
     _, _, result = clustered_default_run
-    with pytest.raises(ValueError, match=rf"^expected shape \(n, 2\), got \(3, {width}\)$"):
-        score_points(result, np.zeros((3, width)))
+    calls = {
+        "forward": lambda: forward(result.models[0], X),
+        "train": lambda: train(result.models[0], X, np.full(3, 0.5), TrainSpec()),
+        "score_points": lambda: score_points(result, X),
+    }
+    with pytest.raises(ValueError, match=rf"^expected shape \(n, 2\), got {re.escape(str(X.shape))}$"):
+        calls[call]()
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +575,15 @@ def _hard_features(draw) -> np.ndarray:
     n = draw(st.sampled_from([2, 3, 4, 7, 24]))
     d = draw(st.integers(1, 6))
     X = Stream(draw(st.integers(0, 2**32))).uniform(n * d).reshape(n, d) * 2.0 - 1.0
-    structure = draw(st.sampled_from(["dense", "duplicate-rows", "constant-column", "sparse-binary"]))
+    structure = draw(
+        st.sampled_from(["dense", "duplicate-rows", "constant-column", "collinear-column", "sparse-binary"])
+    )
     if structure == "duplicate-rows":
         X[n // 2 :] = X[0]
     elif structure == "constant-column":
         X[:, 0] = 0.5
+    elif structure == "collinear-column":
+        X[:, -1] = 3.0 * X[:, 0]
     elif structure == "sparse-binary":
         X = (X > 0.7).astype(np.float64)
     return X * draw(st.sampled_from([1.0, 1e75, 1e150]))
@@ -611,6 +621,42 @@ def test_hard_inputs_give_finite_repeatable_scores_or_clear_errors(X, seed):
                 lambda: run_booster(ds, teacher, replace(cfg, strategy=strategy)).final_scores
             )
             assert boosted is not None
+
+
+@st.composite
+def _rank_deficient_features(draw) -> np.ndarray:
+    """Unit-scale features whose covariance has a null direction."""
+    n = draw(st.sampled_from([12, 20, 40]))
+    d = draw(st.integers(2, 5))
+    stream = Stream(draw(st.integers(0, 2**32)))
+    structure = draw(st.sampled_from(["duplicated", "summed", "constant", "wide", "one-hot"]))
+    if structure == "wide":
+        return stream.normal(n * (n + d)).reshape(n, n + d)
+    X = stream.normal(n * d).reshape(n, d)
+    if structure == "duplicated":
+        X[:, -1] = X[:, 0]
+    elif structure == "summed":
+        X[:, -1] = X[:, 0] + X[:, 1]
+    elif structure == "constant":
+        X[:, -1] = X[0, -1]
+    else:
+        X[:, 1:] = np.eye(d - 1)[indices(stream.uniform(n), d - 1)]
+    return X
+
+
+@settings(max_examples=15, deadline=None)
+@given(_rank_deficient_features(), st.integers(1, 40))
+def test_rank_deficient_features_give_the_same_scores_at_every_power_of_two_scale(X, k):
+    """Null directions hold only rounding noise, which scales with the features; it must map to 0.
+
+    Scales stay within 2**40 of unit scale: LAPACK's eigensolver rescales a matrix whose largest
+    entry falls outside about 1e+-146, by a factor that is not a power of two.
+    """
+    cfg = BoosterConfig(T=2, train=TrainSpec(epochs=2))
+    scores = []
+    for ds in (Dataset(features=X), Dataset(features=X * 2.0**k)):
+        scores.append(run_booster(ds, fit_score(ds, DetectorParams(kind=DetectorKind.HBOS)), cfg).final_scores)
+    assert np.array_equal(scores[0], scores[1])
 
 
 # ---------------------------------------------------------------------------

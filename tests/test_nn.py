@@ -4,14 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import full_batch_loss, gradient_check
 
 from uadb import Loss, TrainSpec, aucroc
 from uadb.nn import (
     MlpModel,
-    _loss,
     _Workspace,
     forward,
-    gradient_check,
     init_mlp,
     train,
 )
@@ -163,11 +162,11 @@ def test_gradient_independent_finite_difference():
     X, y = _tiny_batch(77, n=4, d=2)
 
     h = 1e-6
-    base = _loss(m, X, y, Loss.CROSS_ENTROPY)
+    base = full_batch_loss(m, X, y, Loss.CROSS_ENTROPY)
     grads = MlpModel(_grads(m, X, y, Loss.CROSS_ENTROPY), m.d, m.hidden)
     probe = m.copy()
     probe.weights[0][1, 2] += h
-    fd = (_loss(probe, X, y, Loss.CROSS_ENTROPY) - base) / h
+    fd = (full_batch_loss(probe, X, y, Loss.CROSS_ENTROPY) - base) / h
 
     assert grads.weights[0][1, 2] == pytest.approx(fd, rel=1e-3)
 
@@ -186,8 +185,8 @@ def test_gradient_batch_order_invariance():
     X, y = _tiny_batch(41, n=8, d=2)
     perm = Stream(42).permutation(8)
 
-    v1 = _loss(m, X, y, Loss.CROSS_ENTROPY)
-    v2 = _loss(m, X[perm], y[perm], Loss.CROSS_ENTROPY)
+    v1 = full_batch_loss(m, X, y, Loss.CROSS_ENTROPY)
+    v2 = full_batch_loss(m, X[perm], y[perm], Loss.CROSS_ENTROPY)
     assert v1 == pytest.approx(v2, abs=1e-12)
     g1 = _grads(m, X, y, Loss.CROSS_ENTROPY)
     g2 = _grads(m, X[perm], y[perm], Loss.CROSS_ENTROPY)
