@@ -34,14 +34,14 @@ from __future__ import annotations
 import enum
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
 
 from .data import OVERFLOW_HINT, DataError, Dataset, _binary_labels, minmax_values
 from .metrics import _average_ranks, aucroc, average_precision, threshold_predictions
-from .nn import MlpModel, TrainSpec, _matrix, _unit_targets, forward, init_mlp, train
+from .nn import Loss, MlpModel, TrainSpec, _matrix, _unit_targets, forward, init_mlp, train
 from .rng import Stream, derive
 
 # seed-derivation tags; keep distinct so streams never overlap
@@ -67,15 +67,19 @@ class BoosterConfig:
 
     fold_count = 1 disables cross-fitting (one model, in-sample predictions).
     Each fold model warm-starts from its previous round's weights, and the
-    final scores are the mean output of all fold models. seed alone seeds the
-    fold assignment, the weight init and every round's batch shuffles;
-    train.seed must stay 0.
+    final scores are the mean output of all fold models. epochs, batch_size,
+    learning_rate and loss are every round's TrainSpec settings, with its
+    defaults and checks. seed alone seeds the fold assignment, the weight
+    init and every round's batch shuffles.
     """
 
     T: int = 10
     fold_count: int = 3
     strategy: Strategy = Strategy.UADB
-    train: TrainSpec = field(default_factory=TrainSpec)
+    epochs: int = TrainSpec.epochs
+    batch_size: int = TrainSpec.batch_size
+    learning_rate: float = TrainSpec.learning_rate
+    loss: Loss = TrainSpec.loss
     seed: int = 0
 
     def __post_init__(self):
@@ -83,8 +87,11 @@ class BoosterConfig:
             raise ValueError(f"need T >= 1, got {self.T}")
         if self.fold_count < 1:
             raise ValueError(f"need fold_count >= 1, got {self.fold_count}")
-        if self.train.seed != 0:
-            raise ValueError(f"need train.seed == 0, got {self.train.seed} (seed seeds training)")
+        self._train_spec(0)
+
+    def _train_spec(self, seed: int) -> TrainSpec:
+        """The training settings with batch-shuffle seed `seed`."""
+        return TrainSpec(self.epochs, self.batch_size, self.learning_rate, self.loss, seed)
 
 
 @dataclass(frozen=True)
@@ -95,9 +102,11 @@ class InputConditioner:
     covariance; scale a per-direction robust spread (1.4826 * MAD). Where
     the MAD is exactly 0 (half or more of the rows share one value, as
     with sparse binary features) the direction's standard deviation
-    stands in, and the scale is floored at 1e-12. A direction whose eigenvalue
-    is at most lambda_max * d * eps (duplicated, summed or constant columns,
-    d > n, one-hot groups) holds only rounding noise: scale inf maps it to 0.
+    stands in. A direction whose eigenvalue is at most lambda_max * d * eps
+    (duplicated, summed or constant columns, d > n, one-hot groups) or
+    whose spread is exactly 0 gets scale inf, which maps it to 0. With no
+    other floor, a power-of-two rescale of the features leaves the output
+    as it is while the covariance stays within about 1e+-146.
     """
 
     center: np.ndarray
@@ -114,8 +123,8 @@ class InputConditioner:
         vals, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
         Z = (X - mu) @ vecs
         mad = np.median(np.abs(Z - np.median(Z, axis=0)), axis=0) * 1.4826
-        spread = np.maximum(np.where(mad > 0.0, mad, Z.std(axis=0)), 1e-12)
-        null = vals <= vals[-1] * len(vals) * np.finfo(np.float64).eps
+        spread = np.where(mad > 0.0, mad, Z.std(axis=0))
+        null = (vals <= vals[-1] * len(vals) * np.finfo(np.float64).eps) | (spread == 0.0)
         return cls(mu, vecs, np.where(null, np.inf, spread))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -230,7 +239,7 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
         """Train fold f for round t on the other folds' rows, then score its own rows into p."""
         held = np.flatnonzero(folds == f)
         rows = np.flatnonzero(folds != f) if cfg.fold_count > 1 else held
-        spec = replace(cfg.train, seed=derive(cfg.seed, _TAG_TRAIN_SHUFFLE, t, f))
+        spec = cfg._train_spec(derive(cfg.seed, _TAG_TRAIN_SHUFFLE, t, f))
         # diverging training overflows; the finiteness check on p reports it. Entered here because
         # numpy's error state belongs to a thread, and pool threads do not inherit the caller's
         with np.errstate(over="ignore", invalid="ignore"):
@@ -248,7 +257,7 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
             p = np.empty(ds.n)  # each row scored by the one model whose training folds exclude it
             list(pool.map(fit_fold, range(cfg.fold_count), repeat(t), repeat(history[-1]), repeat(p)))
             if not np.all(np.isfinite(p)):
-                raise DataError(f"round {t} diverged: learning rate {cfg.train.learning_rate} is too large")
+                raise DataError(f"round {t} diverged: learning rate {cfg.learning_rate} is too large")
             predictions.append(p)
             if cfg.strategy is Strategy.UADB:
                 variances.append(per_instance_variance(np.column_stack(history), p))

@@ -4,10 +4,13 @@ Settings resolve in priority order: explicit flags, then a JSON config file
 (--config; a previously emitted report also works, its "config" key is
 used), then the UADB_SEED environment variable for the seed, then the
 defaults. Each flag declares its default once, read from the library's
-TrainSpec, BoosterConfig or DetectorParams where those hold it; a config
-file becomes the subcommand's defaults and the command line is parsed
-again. Every report embeds the fully resolved config, so re-running a
-command from its own report reproduces the artifacts byte for byte.
+BoosterConfig or DetectorParams where those hold it; a config file becomes
+the subcommand's defaults and the command line is parsed again. Every
+report embeds the fully resolved config, so re-running a command from its
+own report reproduces the artifacts byte for byte.
+
+Each subcommand returns its report, stdout lines and {setting: writer} for
+its output files; main writes and announces each set path, the report last.
 
 Exit codes: 0 success, 2 usage errors, 1 data/runtime errors.
 """
@@ -49,7 +52,7 @@ from .data import (
 )
 from .detectors import DetectorKind, DetectorParams, fit_score
 from .metrics import aucroc, average_precision, correction_rate, variance_gap
-from .nn import Loss, TrainSpec
+from .nn import Loss
 
 
 class UsageError(Exception):
@@ -98,10 +101,6 @@ def _require(cfg: dict, key: str) -> None:
         raise UsageError(f"--{key.replace('_', '-')} is required (flag or config)")
 
 
-def _write_json(blob: dict, path: str) -> None:
-    Path(path).write_text(json.dumps(blob, indent=2) + "\n", encoding="utf-8")
-
-
 def _load_dataset(cfg: dict) -> Dataset:
     ds = load_csv(cfg["data"], cfg["label_column"])
     if ds.labels is not None and ds.labels.min() == ds.labels.max():
@@ -141,17 +140,14 @@ def _teacher_scores(ds: Dataset, cfg: dict, params: DetectorParams | None, seed:
 def _booster_config(cfg: dict, strategy: Strategy) -> BoosterConfig:
     """The run's BoosterConfig at seed cfg["seed"]; bad settings are usage errors."""
     try:
-        train = TrainSpec(
-            epochs=cfg["epochs"],
-            batch_size=cfg["batch_size"],
-            learning_rate=cfg["learning_rate"],
-            loss=Loss(cfg["loss"]),
-        )
         return BoosterConfig(
             T=cfg["iterations"],
             fold_count=cfg["folds"],
             strategy=strategy,
-            train=train,
+            epochs=cfg["epochs"],
+            batch_size=cfg["batch_size"],
+            learning_rate=cfg["learning_rate"],
+            loss=Loss(cfg["loss"]),
             seed=cfg["seed"],
         )
     except ValueError as exc:
@@ -195,35 +191,23 @@ def _save_grid(result: BoosterResult, ds: Dataset, path: str, grid_size: int) ->
 # subcommands
 
 
-def cmd_synth(cfg: dict) -> tuple[dict, list[str]]:
+def cmd_synth(cfg: dict) -> tuple[dict, list[str], dict]:
     _require(cfg, "kind")
     try:  # n and rate are settings: bad ones are usage errors, like a bad detector setting
         ds = generate_synthetic(SyntheticKind(cfg["kind"]), cfg["n"], cfg["rate"], cfg["seed"])
     except DataError as exc:
         raise UsageError(str(exc)) from None
-    if cfg["out"] is not None:
-        save_csv(ds, cfg["out"])
-    report = {
-        "command": "synth",
-        "config": cfg,
-        "n": ds.n,
-        "d": ds.d,
-        "n_anomalies": ds.n_anomalies,
-    }
+    report = {"command": "synth", "config": cfg, "n": ds.n, "d": ds.d, "n_anomalies": ds.n_anomalies}
     lines = [f"{ds.name}: n={ds.n} d={ds.d} anomalies={ds.n_anomalies}"]
-    if cfg["out"] is not None:
-        lines.append(f"wrote {cfg['out']}")
-    return report, lines
+    return report, lines, {"out": lambda path: save_csv(ds, path)}
 
 
-def cmd_detect(cfg: dict) -> tuple[dict, list[str]]:
+def cmd_detect(cfg: dict) -> tuple[dict, list[str], dict]:
     _require(cfg, "data")
     _require(cfg, "detector")
     params = _detector_params(cfg, cfg["detector"])
     ds = _load_dataset(cfg)
     scores = minmax_values(fit_score(ds, params))
-    if cfg["scores_out"] is not None:
-        save_scores(scores, cfg["scores_out"])
     report = {"command": "detect", "config": cfg, "n": ds.n, "d": ds.d, "metrics": None}
     lines = [f"{cfg['detector']} on {ds.name}: n={ds.n} d={ds.d}"]
     if ds.labels is not None:
@@ -233,15 +217,11 @@ def cmd_detect(cfg: dict) -> tuple[dict, list[str]]:
             "n_pos": int(ds.labels.sum()),
             "n_neg": int(ds.n - ds.labels.sum()),
         }
-        lines.append(
-            f"aucroc={report['metrics']['aucroc']:.4f} ap={report['metrics']['ap']:.4f}"
-        )
-    if cfg["scores_out"] is not None:
-        lines.append(f"wrote {cfg['scores_out']}")
-    return report, lines
+        lines.append(f"aucroc={report['metrics']['aucroc']:.4f} ap={report['metrics']['ap']:.4f}")
+    return report, lines, {"scores_out": lambda path: save_scores(scores, path)}
 
 
-def cmd_boost(cfg: dict) -> tuple[dict, list[str]]:
+def cmd_boost(cfg: dict) -> tuple[dict, list[str], dict]:
     _require(cfg, "data")
     if cfg["repeat"] < 1:
         raise UsageError(f"need repeat >= 1, got {cfg['repeat']}")
@@ -267,13 +247,7 @@ def cmd_boost(cfg: dict) -> tuple[dict, list[str]]:
             entry.update(_run_metrics(ds, teacher, result))
         runs.append(entry)
 
-    report = {
-        "command": "boost",
-        "config": cfg,
-        "n": ds.n,
-        "d": ds.d,
-        "runs": runs,
-    }
+    report = {"command": "boost", "config": cfg, "n": ds.n, "d": ds.d, "runs": runs}
     lines = [f"{strategy.value} boost of {cfg['teacher'] or cfg['teacher_scores']} on {ds.name}"]
     if ds.labels is not None:
         mean = {
@@ -287,19 +261,14 @@ def cmd_boost(cfg: dict) -> tuple[dict, list[str]]:
             f"teacher aucroc={mean['teacher_aucroc']:.4f} -> booster aucroc={mean['booster_aucroc']:.4f}"
             f" (over {cfg['repeat']} run{'s' if cfg['repeat'] > 1 else ''})"
         )
-    if cfg["scores_out"] is not None:
-        save_scores(first_result.final_scores, cfg["scores_out"])
-        lines.append(f"wrote {cfg['scores_out']}")
-    if cfg["history_out"] is not None:
-        _save_history(first_result, cfg["history_out"])
-        lines.append(f"wrote {cfg['history_out']}")
-    if cfg["grid_out"] is not None:
-        _save_grid(first_result, ds, cfg["grid_out"], cfg["grid_size"])
-        lines.append(f"wrote {cfg['grid_out']}")
-    return report, lines
+    return report, lines, {
+        "scores_out": lambda path: save_scores(first_result.final_scores, path),
+        "history_out": lambda path: _save_history(first_result, path),
+        "grid_out": lambda path: _save_grid(first_result, ds, path, cfg["grid_size"]),
+    }
 
 
-def cmd_ablate(cfg: dict) -> tuple[dict, list[str]]:
+def cmd_ablate(cfg: dict) -> tuple[dict, list[str], dict]:
     _require(cfg, "data")
     booster = _booster_config(cfg, Strategy.UADB)
     teacher_params = _teacher_params(cfg)
@@ -319,7 +288,7 @@ def cmd_ablate(cfg: dict) -> tuple[dict, list[str]]:
     lines = [f"{'variant'.ljust(width)}  {'aucroc':>8}  {'ap':>8}"]
     for r in rows:
         lines.append(f"{r['variant'].ljust(width)}  {r['aucroc']:8.4f}  {r['ap']:8.4f}")
-    return report, lines
+    return report, lines, {}
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +328,13 @@ def _add_booster_args(p: argparse.ArgumentParser) -> None:
         "--teacher", choices=[k.value for k in DetectorKind], help="native teacher detector"
     )
     teacher.add_argument("--teacher-scores", help="file of precomputed teacher scores")
-    b, t = BoosterConfig, TrainSpec
+    b = BoosterConfig
     p.add_argument("--iterations", type=int, default=b.T, help="boosting iterations T")
     p.add_argument("--folds", type=int, default=b.fold_count, help="cross-fitting fold count (1 disables)")
-    p.add_argument("--epochs", type=int, default=t.epochs, help="training epochs per iteration")
-    p.add_argument("--batch-size", type=int, default=t.batch_size)
-    p.add_argument("--learning-rate", type=float, default=t.learning_rate)
-    p.add_argument("--loss", choices=[kind.value for kind in Loss], default=t.loss.value)
+    p.add_argument("--epochs", type=int, default=b.epochs, help="training epochs per iteration")
+    p.add_argument("--batch-size", type=int, default=b.batch_size)
+    p.add_argument("--learning-rate", type=float, default=b.learning_rate)
+    p.add_argument("--loss", choices=[kind.value for kind in Loss], default=b.loss.value)
     _add_detector_args(p)
 
 
@@ -428,10 +397,14 @@ def main(argv: list[str] | None = None) -> int:
                 _apply_config(commands[args.command], _load_config(args.config))
                 args = parser.parse_args(argv)
             cfg = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
-            report, lines = _HANDLERS[args.command](cfg)
-            if report["config"].get("report") is not None:
-                _write_json(report, report["config"]["report"])
-                lines.append(f"wrote {report['config']['report']}")
+            report, lines, outputs = _HANDLERS[args.command](cfg)
+            outputs["report"] = lambda path: Path(path).write_text(
+                json.dumps(report, indent=2) + "\n", encoding="utf-8"
+            )
+            for key, write in outputs.items():
+                if cfg[key] is not None:
+                    write(cfg[key])
+                    lines.append(f"wrote {cfg[key]}")
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2

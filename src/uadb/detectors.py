@@ -288,15 +288,14 @@ def _fit_iforest(ds: Dataset, params: DetectorParams) -> np.ndarray:
 def _fit_hbos(ds: Dataset, params: DetectorParams) -> np.ndarray:
     """Sum over features of -log(relative bin frequency) with equal-width bins.
 
-    Bins span [min, max] per feature; empty-bin densities are floored at
-    1/(2*n*bins) so scores stay bounded. Constant features contribute 0.
-    A column whose range times bins overflows float64 is halved first
-    (halve_wide), which keeps every row's bin.
+    Bins span [min, max] per feature; a row's density is its bin's count / n.
+    Only occupied bins are counted, so memory does not grow with bins.
+    Constant features contribute 0. A column whose range times bins
+    overflows float64 is halved first (halve_wide), which keeps every row's bin.
     """
     X = halve_wide(ds.features, params.bins)
     n, d = X.shape
     bins = params.bins
-    floor = 1.0 / (2.0 * n * bins)
     scores = np.zeros(n)
     for f in range(d):
         col = X[:, f]
@@ -304,11 +303,9 @@ def _fit_hbos(ds: Dataset, params: DetectorParams) -> np.ndarray:
         hi = col.max()
         if hi == lo:
             continue
-        idx = np.floor((col - lo) * bins / (hi - lo)).astype(np.int64)
-        idx = np.clip(idx, 0, bins - 1)
-        density = np.bincount(idx, minlength=bins) / n
-        density = np.maximum(density, floor)
-        scores -= np.log(density[idx])
+        idx = np.minimum(np.floor((col - lo) * bins / (hi - lo)).astype(np.int64), bins - 1)
+        _, occupied, counts = np.unique(idx, return_inverse=True, return_counts=True)
+        scores -= np.log(counts[occupied] / n)
     return scores
 
 

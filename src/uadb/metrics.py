@@ -25,6 +25,8 @@ def _values(scores) -> np.ndarray:
     v = np.asarray(scores, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"scores must be 1-d, got shape {v.shape}")
+    if np.isnan(v).any():
+        raise ValueError("scores contain NaN")
     return v
 
 

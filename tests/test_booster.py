@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import math
 import re
 import sys
 import threading
@@ -64,11 +65,28 @@ def test_booster_config_validation():
         BoosterConfig(T=0)
     with pytest.raises(ValueError):
         BoosterConfig(fold_count=0)
-    with pytest.raises(ValueError, match="train.seed"):  # BoosterConfig.seed is the one seed
-        BoosterConfig(train=TrainSpec(seed=3))
     cfg = BoosterConfig()
     assert cfg.T == 10 and cfg.fold_count == 3
     assert cfg.strategy is Strategy.UADB
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0}, {"learning_rate": math.inf}],
+    ids=["epochs-0", "batch-size-0", "learning-rate-0", "learning-rate-inf"],
+)
+def test_booster_config_checks_training_settings_as_train_spec_does(setting):
+    with pytest.raises(ValueError) as want:
+        TrainSpec(**setting)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        BoosterConfig(**setting)
+
+
+def test_booster_config_training_defaults_are_train_spec_defaults():
+    cfg = BoosterConfig()
+    assert (cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.loss) == (
+        TrainSpec.epochs, TrainSpec.batch_size, TrainSpec.learning_rate, TrainSpec.loss,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +288,8 @@ def test_run_booster_golden_bits(strategy, folds, loss, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # fold threads on: unpinned, the folds train one by one
     ds = generate_synthetic(SyntheticKind.LOCAL, n=257, seed=5)
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.HBOS))
-    spec = TrainSpec(epochs=2, batch_size=64, loss=loss)
-    res = run_booster(ds, teacher, BoosterConfig(T=3, fold_count=folds, strategy=strategy, train=spec, seed=6))
+    cfg = BoosterConfig(T=3, fold_count=folds, strategy=strategy, epochs=2, batch_size=64, loss=loss, seed=6)
+    res = run_booster(ds, teacher, cfg)
     digest = hashlib.sha256()
     for array in (res.final_scores, res.label_history, res.variance_history, *(m.theta for m in res.models)):
         digest.update(array.tobytes())
@@ -313,7 +331,7 @@ def test_concurrent_folds_lose_no_update(monkeypatch):
     # every train call serialized behind one lock
     ds = generate_synthetic(SyntheticKind.CLUSTERED, n=80, seed=8)
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.HBOS))
-    cfg = BoosterConfig(T=3, fold_count=5, train=TrainSpec(epochs=3, batch_size=16), seed=9)
+    cfg = BoosterConfig(T=3, fold_count=5, epochs=3, batch_size=16, seed=9)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -611,7 +629,7 @@ def _finite_and_repeatable(call) -> np.ndarray | None:
 @given(_hard_features(), st.integers(0, 2**16))
 def test_hard_inputs_give_finite_repeatable_scores_or_clear_errors(X, seed):
     ds = Dataset(features=X)
-    cfg = BoosterConfig(T=2, fold_count=min(3, ds.n), seed=seed, train=TrainSpec(epochs=3))
+    cfg = BoosterConfig(T=2, fold_count=min(3, ds.n), seed=seed, epochs=3)
     for kind in DetectorKind:
         teacher = _finite_and_repeatable(lambda: fit_score(ds, DetectorParams(kind=kind, seed=seed)))
         if teacher is None:
@@ -644,19 +662,33 @@ def _rank_deficient_features(draw) -> np.ndarray:
     return X
 
 
+def _scores_at_scales(X: np.ndarray, cfg: BoosterConfig, *exponents: int) -> list[np.ndarray]:
+    """final_scores of an hbos-taught run on X * 2**k for each k."""
+    scores = []
+    for k in exponents:
+        ds = Dataset(features=X * 2.0**k)
+        scores.append(run_booster(ds, fit_score(ds, DetectorParams(kind=DetectorKind.HBOS)), cfg).final_scores)
+    return scores
+
+
 @settings(max_examples=15, deadline=None)
-@given(_rank_deficient_features(), st.integers(1, 40))
+@given(_rank_deficient_features(), st.integers(-60, 40).filter(lambda k: k != 0))
 def test_rank_deficient_features_give_the_same_scores_at_every_power_of_two_scale(X, k):
     """Null directions hold only rounding noise, which scales with the features; it must map to 0.
 
-    Scales stay within 2**40 of unit scale: LAPACK's eigensolver rescales a matrix whose largest
+    Scales stay within 2**+-60 of unit scale: LAPACK's eigensolver rescales a matrix whose largest
     entry falls outside about 1e+-146, by a factor that is not a power of two.
     """
-    cfg = BoosterConfig(T=2, train=TrainSpec(epochs=2))
-    scores = []
-    for ds in (Dataset(features=X), Dataset(features=X * 2.0**k)):
-        scores.append(run_booster(ds, fit_score(ds, DetectorParams(kind=DetectorKind.HBOS)), cfg).final_scores)
-    assert np.array_equal(scores[0], scores[1])
+    first, second = _scores_at_scales(X, BoosterConfig(T=2, epochs=2), 0, k)
+    assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("kind", list(SyntheticKind), ids=lambda k: k.value)
+def test_full_rank_features_give_the_same_scores_at_tiny_and_large_power_of_two_scales(kind):
+    """No absolute floor on a direction's spread: features near 1e-18 train as they do at unit scale."""
+    X = generate_synthetic(kind, n=120, seed=2).features
+    unit, tiny, large = _scores_at_scales(X, BoosterConfig(T=2, epochs=2), 0, -60, 20)
+    assert np.array_equal(unit, tiny) and np.array_equal(unit, large)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +702,7 @@ def test_discrepancy_scores_follow_their_definition(strategy, base):
     """minmax(|fold-mean output - normalized teacher| / 2) of the base run; everything else is the base run's."""
     ds = generate_synthetic(SyntheticKind.LOCAL, n=40, seed=6)
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
-    cfg = BoosterConfig(T=2, fold_count=2, train=TrainSpec(epochs=2), seed=6)
+    cfg = BoosterConfig(T=2, fold_count=2, epochs=2, seed=6)
     got = run_booster(ds, teacher, replace(cfg, strategy=strategy))
     ref = run_booster(ds, teacher, replace(cfg, strategy=base))
     X = ref.conditioner.apply(ds.features)
@@ -687,7 +719,7 @@ def test_ablation_scores_equal_per_strategy_runs(kind, fold_count):
     ds = generate_synthetic(kind, n=60, seed=3)
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.IFOREST, trees=20, seed=3))
     # a discrepancy strategy here checks that cfg.strategy is ignored
-    cfg = BoosterConfig(T=3, fold_count=fold_count, strategy=Strategy.DISCREPANCY, train=TrainSpec(epochs=3), seed=3)
+    cfg = BoosterConfig(T=3, fold_count=fold_count, strategy=Strategy.DISCREPANCY, epochs=3, seed=3)
     scores = ablation_scores(ds, teacher, cfg)
     assert list(scores) == [
         Strategy.NAIVE, Strategy.DISCREPANCY, Strategy.SELF, Strategy.DISCREPANCY_STAR, Strategy.UADB,
@@ -706,7 +738,7 @@ def test_ablation_never_evaluates_with_labels(monkeypatch):
 
     monkeypatch.setattr(uadb.booster, "aucroc", refuse)
     monkeypatch.setattr(uadb.booster, "average_precision", refuse)
-    scores = ablation_scores(ds, teacher, BoosterConfig(T=2, fold_count=2, train=TrainSpec(epochs=2)))
+    scores = ablation_scores(ds, teacher, BoosterConfig(T=2, fold_count=2, epochs=2))
     assert len(scores) == len(Strategy)
 
 

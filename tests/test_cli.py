@@ -224,6 +224,30 @@ def test_boost_full_run_artifacts(clustered_csv, tmp_path, capsys):
     assert len([ln for ln in scores.read_text().splitlines() if ln]) == 300
 
 
+def test_outputs_are_written_and_announced_in_a_fixed_order(tmp_path, capsys, monkeypatch):
+    """Each command announces its files after its summary, the report last, whatever the flag order."""
+    written, save_scores = [], uadb.cli.save_scores
+
+    def recording_save_scores(scores, path):  # the tracer's patch point must still see the call
+        written.append(path)
+        save_scores(scores, path)
+
+    monkeypatch.setattr(uadb.cli, "save_scores", recording_save_scores)
+    csv = tmp_path / "small.csv"
+    assert main(["synth", "--kind", "global", "--n", "40", "--seed", "2", "--out", str(csv)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [f"wrote {csv}"]
+    data = ["--data", str(csv), "--label-column", "label"]
+    scores, history, grid, report = (tmp_path / name for name in ("s.txt", "h.csv", "g.csv", "r.json"))
+    flags = ["--report", str(report), "--grid-out", str(grid), "--history-out", str(history)]
+    flags += ["--scores-out", str(scores)]
+    boost = ["boost", *data, "--teacher", "hbos", "--iterations", "1", "--epochs", "1", "--grid-size", "3"]
+    assert main([*boost, *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [f"wrote {p}" for p in (scores, history, grid, report)]
+    assert main(["detect", *data, "--detector", "hbos", "--report", str(report), "--scores-out", str(scores)]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [f"wrote {scores}", f"wrote {report}"]
+    assert written == [str(scores)] * 2
+
+
 def test_boost_teacher_scores_length_mismatch(clustered_csv, tmp_path, capsys):
     ext = tmp_path / "ext.txt"
     ext.write_text("0.1\n0.2\n0.3\n", encoding="utf-8")

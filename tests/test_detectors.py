@@ -435,6 +435,18 @@ def test_hbos_duplicate_feature_doubles_scores():
     np.testing.assert_allclose(two, 2.0 * one, rtol=1e-15)
 
 
+def test_hbos_memory_does_not_grow_with_bins():
+    ds = Dataset(features=_random_points(48, 300, 2))
+    fit_score(ds, DetectorParams(DetectorKind.HBOS, bins=10))  # first-call allocations are not the fit's
+    tracemalloc.start()
+    try:
+        fit_score(ds, DetectorParams(DetectorKind.HBOS, bins=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one count per bin would take 8 MB
+
+
 def test_hbos_constant_feature_contributes_zero():
     col = np.array([0.0, 1.0, 2.0, 9.0])
     base = fit_score(Dataset(features=col[:, None]), DetectorParams(DetectorKind.HBOS, bins=4))

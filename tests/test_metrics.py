@@ -186,3 +186,30 @@ def test_correction_rate_length_check():
     with pytest.raises(ValueError):
         correction_rate(np.array([0.1, 0.2]), np.array([0.1]), np.array([0, 1]))
 
+
+_NAN = np.array([np.nan, 1.0, 0.5])
+_LABELS = np.array([0, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [
+        lambda: aucroc(_NAN, _LABELS),
+        lambda: average_precision(_NAN, _LABELS),
+        lambda: variance_gap(_NAN, _LABELS),
+        lambda: threshold_predictions(_NAN, 1),
+        lambda: correction_rate(_NAN[::-1], _NAN, _LABELS),
+    ],
+    ids=["aucroc", "average_precision", "variance_gap", "threshold_predictions", "correction_rate"],
+)
+def test_nan_scores_are_refused_by_every_metric(metric):
+    """A NaN has no rank: refusing it beats nan from one metric and 1.0 from another."""
+    with pytest.raises(ValueError, match="^scores contain NaN$"):
+        metric()
+
+
+def test_infinite_scores_still_rank():
+    s = np.array([-np.inf, np.inf, 0.5])
+    assert aucroc(s, _LABELS) == 1.0 and average_precision(s, _LABELS) == 1.0
+    assert threshold_predictions(s, 1).tolist() == [False, True, False]
+
