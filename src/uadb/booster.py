@@ -39,9 +39,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import OVERFLOW_HINT, DataError, Dataset, _binary_labels, minmax_values
+from .data import OVERFLOW_HINT, DataError, Dataset, _at_least, _binary_labels, _matrix, _vector, minmax_values
 from .metrics import _average_ranks, aucroc, average_precision, threshold_predictions
-from .nn import Loss, MlpModel, TrainSpec, _matrix, _unit_targets, forward, init_mlp, train
+from .nn import Loss, MlpModel, TrainSpec, _unit_targets, forward, init_mlp, train
 from .rng import Stream, derive
 
 # seed-derivation tags; keep distinct so streams never overlap
@@ -83,10 +83,7 @@ class BoosterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError(f"need T >= 1, got {self.T}")
-        if self.fold_count < 1:
-            raise ValueError(f"need fold_count >= 1, got {self.fold_count}")
+        _at_least(vars(self), {"T": 1, "fold_count": 1})
         self._train_spec(0)
 
     def _train_spec(self, seed: int) -> TrainSpec:
@@ -160,11 +157,8 @@ class BoosterResult:
 
 def per_instance_variance(history: np.ndarray, current: np.ndarray) -> np.ndarray:
     """Population variance per row over the (n, t) history columns plus the current prediction."""
-    history = np.asarray(history, dtype=np.float64)
-    current = np.asarray(current, dtype=np.float64)
-    if history.ndim != 2 or current.shape != (history.shape[0],):
-        raise ValueError(f"need history (n, t) and current (n,), got {history.shape} and {current.shape}")
-    return np.var(np.column_stack([history, current]), axis=1)
+    history = _matrix(history, None)
+    return np.var(np.column_stack([history, _vector(current, history.shape[0], "current")]), axis=1)
 
 
 def update_pseudo_labels(y: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -172,10 +166,8 @@ def update_pseudo_labels(y: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     y is 1-d with entries in [0, 1]; v has y's shape, finite and non-negative.
     """
-    y = _unit_targets(y, "pseudo labels")
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != y.shape:
-        raise ValueError(f"variances must have shape {y.shape}, got {v.shape}")
+    y = _unit_targets(y, None, "pseudo labels")
+    v = _vector(v, y.size, "variances")
     if not (np.all(np.isfinite(v)) and np.all(v >= 0.0)):
         raise ValueError("variances must be finite and non-negative")
     return minmax_values(y + v)
@@ -223,9 +215,7 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
     if cfg.strategy in _DISCREPANCY_BASE:  # trains as its base strategy, then is rescored
         result = run_booster(ds, teacher, replace(cfg, strategy=_DISCREPANCY_BASE[cfg.strategy]))
         return replace(result, final_scores=_discrepancy_scores(result, ds))
-    teacher = np.asarray(teacher, dtype=np.float64)
-    if teacher.shape != (ds.n,):
-        raise ValueError(f"teacher must have shape ({ds.n},), got {teacher.shape}")
+    teacher = _vector(teacher, ds.n, "teacher")
     if not np.all(np.isfinite(teacher)):
         raise DataError("teacher scores contain non-finite values")
     if cfg.fold_count > ds.n:

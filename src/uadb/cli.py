@@ -10,7 +10,8 @@ report embeds the fully resolved config, so re-running a command from its
 own report reproduces the artifacts byte for byte.
 
 Each subcommand returns its report, stdout lines and {setting: writer} for
-its output files; main writes and announces each set path, the report last.
+its output files; main writes and announces each set path, the report last,
+each under a temporary name renamed into place once all writes succeed.
 
 Exit codes: 0 success, 2 usage errors, 1 data/runtime errors.
 """
@@ -40,6 +41,7 @@ from .data import (
     DataError,
     Dataset,
     SyntheticKind,
+    _at_least,
     generate_synthetic,
     import_scores,
     load_csv,
@@ -96,6 +98,14 @@ def _apply_config(p: argparse.ArgumentParser, config: dict) -> None:
     p.set_defaults(**config)
 
 
+def _setting(check, *args, **kwargs):
+    """check(*args, **kwargs), whose refusal of a setting (a ValueError; DataError is one) is a usage error."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _require(cfg: dict, key: str) -> None:
     if cfg.get(key) is None:
         raise UsageError(f"--{key.replace('_', '-')} is required (flag or config)")
@@ -110,18 +120,16 @@ def _load_dataset(cfg: dict) -> Dataset:
 
 def _detector_params(cfg: dict, kind: str) -> DetectorParams:
     """Settings for detector `kind`; those it refuses on any dataset are usage errors."""
-    try:
-        return DetectorParams(
-            kind=DetectorKind(kind),
-            trees=cfg["trees"],
-            subsample=cfg["subsample"],
-            bins=cfg["bins"],
-            k=cfg["k"],
-            components=cfg["components"],
-            seed=cfg["seed"],
-        )
-    except DataError as exc:
-        raise UsageError(str(exc)) from None
+    return _setting(
+        DetectorParams,
+        kind=DetectorKind(kind),
+        trees=cfg["trees"],
+        subsample=cfg["subsample"],
+        bins=cfg["bins"],
+        k=cfg["k"],
+        components=cfg["components"],
+        seed=cfg["seed"],
+    )
 
 
 def _teacher_params(cfg: dict) -> DetectorParams | None:
@@ -139,19 +147,17 @@ def _teacher_scores(ds: Dataset, cfg: dict, params: DetectorParams | None, seed:
 
 def _booster_config(cfg: dict, strategy: Strategy) -> BoosterConfig:
     """The run's BoosterConfig at seed cfg["seed"]; bad settings are usage errors."""
-    try:
-        return BoosterConfig(
-            T=cfg["iterations"],
-            fold_count=cfg["folds"],
-            strategy=strategy,
-            epochs=cfg["epochs"],
-            batch_size=cfg["batch_size"],
-            learning_rate=cfg["learning_rate"],
-            loss=Loss(cfg["loss"]),
-            seed=cfg["seed"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _setting(
+        BoosterConfig,
+        T=cfg["iterations"],
+        fold_count=cfg["folds"],
+        strategy=strategy,
+        epochs=cfg["epochs"],
+        batch_size=cfg["batch_size"],
+        learning_rate=cfg["learning_rate"],
+        loss=Loss(cfg["loss"]),
+        seed=cfg["seed"],
+    )
 
 
 def _run_metrics(ds: Dataset, teacher: np.ndarray, result: BoosterResult) -> dict:
@@ -193,10 +199,7 @@ def _save_grid(result: BoosterResult, ds: Dataset, path: str, grid_size: int) ->
 
 def cmd_synth(cfg: dict) -> tuple[dict, list[str], dict]:
     _require(cfg, "kind")
-    try:  # n and rate are settings: bad ones are usage errors, like a bad detector setting
-        ds = generate_synthetic(SyntheticKind(cfg["kind"]), cfg["n"], cfg["rate"], cfg["seed"])
-    except DataError as exc:
-        raise UsageError(str(exc)) from None
+    ds = _setting(generate_synthetic, SyntheticKind(cfg["kind"]), cfg["n"], cfg["rate"], cfg["seed"])
     report = {"command": "synth", "config": cfg, "n": ds.n, "d": ds.d, "n_anomalies": ds.n_anomalies}
     lines = [f"{ds.name}: n={ds.n} d={ds.d} anomalies={ds.n_anomalies}"]
     return report, lines, {"out": lambda path: save_csv(ds, path)}
@@ -223,10 +226,7 @@ def cmd_detect(cfg: dict) -> tuple[dict, list[str], dict]:
 
 def cmd_boost(cfg: dict) -> tuple[dict, list[str], dict]:
     _require(cfg, "data")
-    if cfg["repeat"] < 1:
-        raise UsageError(f"need repeat >= 1, got {cfg['repeat']}")
-    if cfg["grid_size"] < 2:
-        raise UsageError(f"need grid_size >= 2, got {cfg['grid_size']}")
+    _setting(_at_least, cfg, {"repeat": 1, "grid_size": 2})
     strategy = Strategy(cfg["strategy"])
     booster = _booster_config(cfg, strategy)
     teacher_params = _teacher_params(cfg)
@@ -379,6 +379,25 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+def _write_all(writes: list) -> None:
+    """Run each (path, writer) on a temporary file beside its path, then rename them all; a failure leaves none."""
+    temporaries = []
+    try:
+        for path, write in writes:
+            temporaries.append(f"{path}.{os.getpid()}.tmp")
+            try:
+                write(temporaries[-1])
+            except OSError as exc:
+                if exc.filename == temporaries[-1]:
+                    exc.filename = path  # name the file asked for
+                raise
+        for (path, _), temporary in zip(writes, temporaries):
+            os.replace(temporary, path)
+    finally:
+        for temporary in temporaries:
+            Path(temporary).unlink(missing_ok=True)
+
+
 _HANDLERS = {
     "synth": cmd_synth,
     "detect": cmd_detect,
@@ -401,10 +420,9 @@ def main(argv: list[str] | None = None) -> int:
             outputs["report"] = lambda path: Path(path).write_text(
                 json.dumps(report, indent=2) + "\n", encoding="utf-8"
             )
-            for key, write in outputs.items():
-                if cfg[key] is not None:
-                    write(cfg[key])
-                    lines.append(f"wrote {cfg[key]}")
+            writes = [(cfg[key], write) for key, write in outputs.items() if cfg[key] is not None]
+            _write_all(writes)
+            lines += [f"wrote {path}" for path, _ in writes]
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2

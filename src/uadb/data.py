@@ -14,6 +14,10 @@ This is the only module that knows a file format: read_text is the one
 reader and write_csv the one CSV writer, behind dataset CSVs (load_csv,
 save_csv), score files of one score per line (import_scores, save_scores)
 and the CLI's history and grid CSVs.
+
+It also holds the argument checks every module shares, each raising a
+DataError that names the argument: _matrix (feature matrices), _vector
+(1-d arrays), _binary_labels (0/1 labels) and _at_least (setting minimums).
 """
 
 from __future__ import annotations
@@ -59,12 +63,9 @@ class Dataset:
     name: str = "dataset"
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=np.float64)
-        if X.ndim != 2:
-            raise DataError(f"features must be 2-d, got shape {X.shape}")
+        X = _matrix(self.features, None)
         n, d = X.shape
-        if n < 2 or d < 1:
-            raise DataError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
+        _at_least({"n": n, "d": d}, {"n": 2, "d": 1})
         if not np.all(np.isfinite(X)):
             raise DataError("features contain non-finite values")
         object.__setattr__(self, "features", X)
@@ -86,11 +87,32 @@ class Dataset:
         return int(self.labels.sum())
 
 
+def _matrix(X, d: int | None) -> np.ndarray:
+    """X as a float64 (n, d) array, of any width d when d is None."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or d not in (None, X.shape[1]):
+        raise DataError(f"expected shape (n, {'d' if d is None else d}), got {X.shape}")
+    return X
+
+
+def _vector(x, n: int | None, what: str) -> np.ndarray:
+    """Argument `what` as a float64 (n,) array, of any length when n is None."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or n not in (None, x.size):
+        raise DataError(f"{what} must have shape ({'n' if n is None else n},), got {x.shape}")
+    return x
+
+
+def _at_least(values, minimums) -> None:
+    """DataError naming the first setting in minimums whose entry in values is below its least; None passes."""
+    for name, least in minimums.items():
+        if values[name] is not None and values[name] < least:
+            raise DataError(f"need {name} >= {least}, got {values[name]}")
+
+
 def _binary_labels(labels, n: int) -> np.ndarray:
     """Labels as an int64 (n,) array; DataError unless each is 0 or 1."""
-    y = np.asarray(labels)
-    if y.shape != (n,):
-        raise DataError(f"labels must have shape ({n},), got {y.shape}")
+    y = _vector(labels, n, "labels")
     if not np.isin(y, (0, 1)).all():
         raise DataError("labels must be 0 or 1")
     return y.astype(np.int64)
@@ -298,8 +320,7 @@ def generate_synthetic(
     where they sit on the line x2 = x1 + eps with eps ~ Normal(0, 0.1 std).
     Output is bitwise reproducible for fixed (kind, n, anomaly_rate, seed).
     """
-    if n < 20:
-        raise DataError(f"need n >= 20, got {n}")
+    _at_least({"n": n}, {"n": 20})
     if not 0.0 < anomaly_rate < 0.5:
         raise DataError(f"need 0 < anomaly_rate < 0.5, got {anomaly_rate}")
     n_anom = _anomaly_count(n, anomaly_rate)

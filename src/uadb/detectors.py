@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import OVERFLOW_HINT, DataError, Dataset, halve_wide
+from .data import OVERFLOW_HINT, DataError, Dataset, _at_least, halve_wide
 from .rng import Stream, derive, indices, uniform_at
 
 # reachability floor for coincident points; keeps LOF finite on duplicates
@@ -74,10 +74,7 @@ class DetectorParams:
     def __post_init__(self):
         if not isinstance(self.kind, DetectorKind):
             raise DataError(f"unknown detector kind: {self.kind!r}")
-        for name, least in _MINIMUMS[self.kind].items():
-            value = getattr(self, name)
-            if value is not None and value < least:
-                raise DataError(f"need {name} >= {least}, got {value}")
+        _at_least(vars(self), _MINIMUMS[self.kind])
 
 
 def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -342,8 +339,6 @@ def _fit_pca(ds: Dataset, params: DetectorParams) -> np.ndarray:
     """Squared reconstruction error off the top `components` principal axes (default max(1, d // 2))."""
     X = ds.features
     n, d = X.shape
-    if d < 2:
-        raise DataError("PCA detector needs d >= 2")
     components = max(1, d // 2) if params.components is None else params.components
     if not 1 <= components < d:
         raise DataError(f"need 1 <= components < d, got components={components}, d={d}")

@@ -14,20 +14,29 @@ import warnings
 
 import numpy as np
 
-from .data import _binary_labels
+from .data import _binary_labels, _vector
 
 
 class VacuousCorrectionWarning(UserWarning):
     """Teacher made no errors, so the correction rate is vacuously 1."""
 
 
-def _values(scores) -> np.ndarray:
-    v = np.asarray(scores, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"scores must be 1-d, got shape {v.shape}")
+def _values(scores, n: int | None = None, what: str = "scores") -> np.ndarray:
+    """Argument `what` as a float64 (n,) array (any length when n is None); ValueError if one is NaN."""
+    v = _vector(scores, n, what)
     if np.isnan(v).any():
-        raise ValueError("scores contain NaN")
+        raise ValueError(f"{what} contain NaN")
     return v
+
+
+def _labeled(scores, labels, what: str, negatives: bool = True) -> tuple[np.ndarray, np.ndarray, int]:
+    """(scores, 0/1 labels, positive count) for metric `what`; ValueError without a positive or, if negatives, a negative."""
+    s = _values(scores)
+    y = _binary_labels(labels, s.size)
+    n_pos = int(y.sum())
+    if n_pos == 0 or (negatives and n_pos == s.size):
+        raise ValueError(f"{what} needs at least one positive{' and one negative' if negatives else ''} label")
+    return s, y, n_pos
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -45,26 +54,15 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 def aucroc(scores, labels) -> float:
     """P(random positive outranks random negative), ties counted 1/2."""
-    s = _values(scores)
-    y = _binary_labels(labels, s.size)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("aucroc needs at least one positive and one negative label")
-    ranks = _average_ranks(s)
-    u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    s, y, n_pos = _labeled(scores, labels, "aucroc")
+    u = _average_ranks(s)[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * (s.size - n_pos)))
 
 
 def average_precision(scores, labels) -> float:
     """Sum of (recall step) x (precision) down the descending ranking."""
-    s = _values(scores)
-    y = _binary_labels(labels, s.size)
-    n_pos = int(y.sum())
-    if n_pos == 0:
-        raise ValueError("average_precision needs at least one positive label")
-    order = np.lexsort((np.arange(s.size), -s))  # descending score, then row index
-    hits = y[order] == 1
+    s, y, n_pos = _labeled(scores, labels, "average_precision", negatives=False)
+    hits = y[np.argsort(-s, kind="stable")] == 1  # descending score, then row index
     precision = np.cumsum(hits) / np.arange(1, s.size + 1)
     return float(precision[hits].sum() / n_pos)
 
@@ -74,10 +72,7 @@ def variance_gap(variance, labels) -> float:
 
     Negative values mean anomalies carry the higher variance.
     """
-    v = _values(variance)
-    y = _binary_labels(labels, v.size)
-    if y.sum() in (0, v.size):
-        raise ValueError("variance_gap needs both classes present")
+    v, y, _ = _labeled(variance, labels, "variance_gap")
     v_abnormal = float(v[y == 1].mean())
     v_normal = float(v[y == 0].mean())
     if v_abnormal == 0.0:
@@ -93,9 +88,8 @@ def threshold_predictions(scores, n_pos: int) -> np.ndarray:
     s = _values(scores)
     if not 0 <= n_pos <= s.size:
         raise ValueError(f"need 0 <= n_pos <= {s.size}, got {n_pos}")
-    order = np.lexsort((np.arange(s.size), -s))
     predicted = np.zeros(s.size, dtype=bool)
-    predicted[order[:n_pos]] = True
+    predicted[np.argsort(-s, kind="stable")[:n_pos]] = True
     return predicted
 
 
@@ -106,14 +100,8 @@ def correction_rate(teacher, booster, labels) -> float:
     (q = labeled anomaly count, ties broken by lowest row index). Returns
     1.0 with a warning when the teacher makes no errors.
     """
-    t = _values(teacher)
-    b = _values(booster)
-    if t.size != b.size:
-        raise ValueError(f"length mismatch: teacher {t.size}, booster {b.size}")
-    y = _binary_labels(labels, t.size)
-    if y.sum() in (0, t.size):
-        raise ValueError("correction_rate needs both classes present")
-    n_pos = int(y.sum())
+    t, y, n_pos = _labeled(teacher, labels, "correction_rate")
+    b = _values(booster, t.size, "booster scores")
     actual = y == 1
     teacher_wrong = threshold_predictions(t, n_pos) != actual
     if not teacher_wrong.any():

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _at_least, _matrix, _vector
 from .rng import Stream, derive
 
 # output clamp: keeps forward inside the open interval and log-losses finite
@@ -50,10 +51,7 @@ class TrainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"need epochs >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"need batch_size >= 1, got {self.batch_size}")
+        _at_least(vars(self), {"epochs": 1, "batch_size": 1})
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"need finite learning_rate > 0, got {self.learning_rate}")
 
@@ -98,10 +96,7 @@ def init_mlp(d: int, seed: int = 0, hidden: int = 128) -> MlpModel:
     that degeneracy while keeping most units radial. Deterministic per
     (d, seed, hidden).
     """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    if hidden < 1:
-        raise ValueError(f"need hidden >= 1, got {hidden}")
+    _at_least({"d": d, "hidden": hidden}, {"d": 1, "hidden": 1})
     sizes = [d, hidden, hidden, 1]
     parts = []
     for layer in range(3):
@@ -139,25 +134,15 @@ def _layers(m: MlpModel, X: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.nd
     return np.clip(_sigmoid(z3), _OUTPUT_EPS, 1.0 - _OUTPUT_EPS)[:, 0]
 
 
-def _matrix(X, d: int) -> np.ndarray:
-    """X as a float64 (n, d) array."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != d:
-        raise ValueError(f"expected shape (n, {d}), got {X.shape}")
-    return X
-
-
 def forward(m: MlpModel, X: np.ndarray) -> np.ndarray:
     """Score each row; output strictly inside (0, 1)."""
     X = _matrix(X, m.d)
     return _layers(m, X, np.empty((X.shape[0], m.hidden)), np.empty((X.shape[0], m.hidden)))
 
 
-def _unit_targets(y, what: str) -> np.ndarray:
-    """y as a 1-d float64 array with every entry in [0, 1] (NaN fails)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValueError(f"{what} must be 1-d, got shape {y.shape}")
+def _unit_targets(y, n: int | None, what: str) -> np.ndarray:
+    """Argument `what` as a float64 (n,) array (_vector) with every entry in [0, 1] (NaN fails)."""
+    y = _vector(y, n, what)
     if not np.all((y >= 0.0) & (y <= 1.0)):
         raise ValueError(f"{what} must lie in [0, 1]")
     return y
@@ -210,9 +195,7 @@ def train(m: MlpModel, X: np.ndarray, y: np.ndarray, spec: TrainSpec) -> MlpMode
     """
     X = _matrix(X, m.d)
     n = X.shape[0]
-    yv = _unit_targets(y, "training targets")
-    if yv.size != n:
-        raise ValueError(f"target length {yv.size} != row count {n}")
+    yv = _unit_targets(y, n, "training targets")
 
     out = m.copy()
     workspace = _Workspace(out, min(spec.batch_size, n))

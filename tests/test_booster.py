@@ -32,6 +32,7 @@ from uadb import (
     aucroc,
     average_precision,
     classify_cases,
+    correction_rate,
     correction_trace,
     fit_score,
     generate_synthetic,
@@ -40,10 +41,12 @@ from uadb import (
     per_instance_variance,
     run_booster,
     score_points,
+    threshold_predictions,
     update_pseudo_labels,
+    variance_gap,
 )
 from uadb.booster import _assign_folds, _fold_workers
-from uadb.nn import forward, train
+from uadb.nn import forward, init_mlp, train
 from uadb.rng import Stream, derive, indices
 
 
@@ -156,10 +159,44 @@ def test_update_validation():
     for bad in (2.0, -0.1, np.nan):
         with pytest.raises(ValueError, match=r"pseudo labels must lie in \[0, 1\]"):
             update_pseudo_labels(np.array([0.5, bad]), np.zeros(2))
-    with pytest.raises(ValueError, match="pseudo labels must be 1-d"):
-        update_pseudo_labels(np.full((2, 1), 0.5), np.zeros(2))
     with pytest.raises(ValueError):
         update_pseudo_labels(np.array([0.5, 0.5]), np.zeros(3))
+
+
+_X4 = np.arange(8.0).reshape(4, 2)
+_LABELS4 = np.array([0, 1, 0, 1])
+_SCORES4 = np.array([0.1, 0.9, 0.2, 0.8])
+
+# (argument named in the message, its required length or None for any, a call that passes x as the argument)
+_VECTOR_ARGUMENTS = {
+    "run_booster teacher": ("teacher", 4, lambda x: run_booster(Dataset(features=_X4), x, BoosterConfig(T=1))),
+    "update y": ("pseudo labels", None, lambda x: update_pseudo_labels(x, np.zeros(4))),
+    "update v": ("variances", 4, lambda x: update_pseudo_labels(np.full(4, 0.5), x)),
+    "per_instance_variance current": ("current", 4, lambda x: per_instance_variance(np.zeros((4, 2)), x)),
+    "train targets": ("training targets", 4, lambda x: train(init_mlp(2), _X4, x, TrainSpec())),
+    "aucroc scores": ("scores", None, lambda x: aucroc(x, _LABELS4)),
+    "aucroc labels": ("labels", 4, lambda x: aucroc(_SCORES4, x)),
+    "average_precision scores": ("scores", None, lambda x: average_precision(x, _LABELS4)),
+    "variance_gap variance": ("scores", None, lambda x: variance_gap(x, _LABELS4)),
+    "threshold_predictions scores": ("scores", None, lambda x: threshold_predictions(x, 1)),
+    "correction_rate teacher": ("scores", None, lambda x: correction_rate(x, _SCORES4, _LABELS4)),
+    "correction_rate booster": ("booster scores", 4, lambda x: correction_rate(_SCORES4, x, _LABELS4)),
+}
+
+
+@pytest.mark.parametrize(
+    "what, n, call, bad",
+    [
+        pytest.param(what, n, call, bad, id=f"{name}-{kind}")
+        for name, (what, n, call) in _VECTOR_ARGUMENTS.items()
+        for kind, bad in (("length", np.full(3, 0.5)), ("2-d", np.full((4, 1), 0.5)))
+        if n is not None or bad.ndim == 2  # an argument of any length has no wrong one
+    ],
+)
+def test_every_vector_argument_gets_the_shared_shape_message(what, n, call, bad):
+    want = "n" if n is None else n
+    with pytest.raises(DataError, match=rf"^{what} must have shape \({want},\), got {re.escape(str(bad.shape))}$"):
+        call(bad)
 
 
 def test_variance_vector_validation():

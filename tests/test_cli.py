@@ -245,7 +245,28 @@ def test_outputs_are_written_and_announced_in_a_fixed_order(tmp_path, capsys, mo
     assert capsys.readouterr().out.splitlines()[2:] == [f"wrote {p}" for p in (scores, history, grid, report)]
     assert main(["detect", *data, "--detector", "hbos", "--report", str(report), "--scores-out", str(scores)]) == 0
     assert capsys.readouterr().out.splitlines()[2:] == [f"wrote {scores}", f"wrote {report}"]
-    assert written == [str(scores)] * 2
+    # each write goes to a temporary file beside its path, renamed into place once all have succeeded
+    assert [Path(path).parent for path in written] == [scores.parent] * 2
+    assert all(path.startswith(f"{scores}.") and path.endswith(".tmp") for path in written)
+    assert sorted(tmp_path.iterdir()) == sorted([csv, scores, history, grid, report])
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_failed_write_leaves_no_output_file(tmp_path, capsys, existing):
+    """A report that cannot be written keeps the scores written before it from appearing, or replacing a file."""
+    csv = tmp_path / "g.csv"
+    assert main(["synth", "--kind", "global", "--n", "40", "--out", str(csv)]) == 0
+    scores, report = tmp_path / "s.txt", tmp_path / "missing-dir" / "r.json"
+    if existing:
+        scores.write_text("old\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["detect", "--data", str(csv), "--detector", "knn", "--k", "1"]
+    assert main([*argv, "--scores-out", str(scores), "--report", str(report)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: [Errno 2] No such file or directory: {str(report)!r}\n"
+    assert sorted(tmp_path.iterdir()) == sorted([csv] + [scores] * existing)
+    if existing:
+        assert scores.read_text(encoding="utf-8") == "old\n"
 
 
 def test_boost_teacher_scores_length_mismatch(clustered_csv, tmp_path, capsys):

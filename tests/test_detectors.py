@@ -695,7 +695,7 @@ def test_pca_matches_projector_oracle():
 
 def test_pca_validation():
     ds = Dataset(features=np.arange(10.0)[:, None])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"^need 1 <= components < d, got components=1, d=1$"):
         fit_score(ds, DetectorParams(DetectorKind.PCA))
     wide = Dataset(features=_random_points(9, 10, 3))
     with pytest.raises(DataError):

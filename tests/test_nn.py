@@ -305,10 +305,6 @@ def test_train_requires_normalized_targets():
     for bad in (1.5, -0.2, np.nan):
         with pytest.raises(ValueError, match=r"training targets must lie in \[0, 1\]"):
             train(m, X, np.array([0.1, 0.2, bad, 0.4]), TrainSpec())
-    with pytest.raises(ValueError, match="training targets must be 1-d"):
-        train(m, X, np.full((4, 1), 0.5), TrainSpec())
-    with pytest.raises(ValueError, match="target length 3 != row count 4"):
-        train(m, X, np.full(3, 0.5), TrainSpec())
 
 
 def test_default_loss_is_cross_entropy():
