@@ -120,16 +120,8 @@ def _load_dataset(cfg: dict) -> Dataset:
 
 def _detector_params(cfg: dict, kind: str) -> DetectorParams:
     """Settings for detector `kind`; those it refuses on any dataset are usage errors."""
-    return _setting(
-        DetectorParams,
-        kind=DetectorKind(kind),
-        trees=cfg["trees"],
-        subsample=cfg["subsample"],
-        bins=cfg["bins"],
-        k=cfg["k"],
-        components=cfg["components"],
-        seed=cfg["seed"],
-    )
+    settings = {key: cfg[key] for key in ("trees", "subsample", "bins", "k", "components", "seed")}
+    return _setting(DetectorParams, kind=DetectorKind(kind), **settings)
 
 
 def _teacher_params(cfg: dict) -> DetectorParams | None:
@@ -380,21 +372,28 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _write_all(writes: list) -> None:
-    """Run each (path, writer) on a temporary file beside its path, then rename them all; a failure leaves none."""
-    temporaries = []
+    """Run each (path, writer); a failure creates or changes no regular file.
+
+    A missing path or regular file is written to a temporary file beside it, renamed into place
+    after the last write; any other path (/dev/null, a pipe) is written in place, as a rename would replace it.
+    """
+    renames = []
     try:
-        for path, write in writes:
-            temporaries.append(f"{path}.{os.getpid()}.tmp")
+        for i, (path, write) in enumerate(writes):
+            if os.path.exists(path) and not os.path.isfile(path):
+                write(path)
+                continue
+            renames.append((f"{path}.{os.getpid()}.{i}.tmp", path))  # i: two outputs may share a path
             try:
-                write(temporaries[-1])
+                write(renames[-1][0])
             except OSError as exc:
-                if exc.filename == temporaries[-1]:
+                if exc.filename == renames[-1][0]:
                     exc.filename = path  # name the file asked for
                 raise
-        for (path, _), temporary in zip(writes, temporaries):
+        for temporary, path in renames:
             os.replace(temporary, path)
     finally:
-        for temporary in temporaries:
+        for temporary, _ in renames:
             Path(temporary).unlink(missing_ok=True)
 
 

@@ -112,7 +112,8 @@ def _at_least(values, minimums) -> None:
 
 def _binary_labels(labels, n: int) -> np.ndarray:
     """Labels as an int64 (n,) array; DataError unless each is 0 or 1."""
-    y = _vector(labels, n, "labels")
+    y = np.asarray(labels)
+    _vector(np.broadcast_to(0.0, y.shape), n, "labels")  # the shape rule alone: float64 would read "1" as 1
     if not np.isin(y, (0, 1)).all():
         raise DataError("labels must be 0 or 1")
     return y.astype(np.int64)

@@ -589,9 +589,9 @@ def test_classify_cases_perfect_teacher_drops_empty_cases():
     assert set(cases) == {"TP", "TN"}
 
 
-@pytest.mark.parametrize("labels", [[2, 0, 0, 1], [0.5, 0.5, 0, 0]])
+@pytest.mark.parametrize("labels", [[2, 0, 0, 1], [0.5, 0.5, 0, 0], ["a", "b", "a", "b"], ["1", "0", "0", "1"]])
 def test_classify_cases_rejects_non_binary_labels(labels):
-    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+    with pytest.raises(DataError, match="^labels must be 0 or 1$"):
         classify_cases(np.array([0.9, 0.8, 0.1, 0.2]), labels)
 
 

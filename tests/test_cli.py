@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +269,31 @@ def test_a_failed_write_leaves_no_output_file(tmp_path, capsys, existing):
     assert sorted(tmp_path.iterdir()) == sorted([csv] + [scores] * existing)
     if existing:
         assert scores.read_text(encoding="utf-8") == "old\n"
+
+
+def test_outputs_sharing_a_path_leave_the_last_write(tmp_path, capsys):
+    csv, out = tmp_path / "g.csv", tmp_path / "o.txt"
+    assert main(["synth", "--kind", "global", "--n", "40", "--out", str(csv)]) == 0
+    argv = ["detect", "--data", str(csv), "--detector", "knn", "--k", "1"]
+    assert main([*argv, "--scores-out", str(out), "--report", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [f"wrote {out}"] * 2
+    assert json.loads(out.read_text(encoding="utf-8"))["command"] == "detect"  # the report is written last
+    assert sorted(tmp_path.iterdir()) == [csv, out]
+
+
+def test_an_output_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    """A pipe given as --report receives the report and is still a pipe afterwards."""
+    csv, fifo = tmp_path / "g.csv", tmp_path / "report.fifo"
+    assert main(["synth", "--kind", "global", "--n", "40", "--out", str(csv)]) == 0
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["detect", "--data", str(csv), "--detector", "knn", "--k", "1", "--report", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert json.loads(received[0])["command"] == "detect"
+    assert sorted(tmp_path.iterdir()) == sorted([csv, fifo])
 
 
 def test_boost_teacher_scores_length_mismatch(clustered_csv, tmp_path, capsys):
