@@ -4,8 +4,9 @@ Settings resolve in priority order: explicit flags, then a JSON config file
 (--config; a previously emitted report also works, its "config" key is
 used), then the UADB_SEED environment variable for the seed, then the
 defaults. Each flag declares its default once, read from the library's
-BoosterConfig or DetectorParams where those hold it; a config file becomes
-the subcommand's defaults and the command line is parsed again. Every
+BoosterConfig or DetectorParams where those hold it. The parser is built
+once per UADB_SEED value; a config file becomes the subcommand's defaults in
+a parser built for that call, and the command line is parsed again. Every
 report embeds the fully resolved config, so re-running a command from its
 own report reproduces the artifacts byte for byte.
 
@@ -19,6 +20,7 @@ Exit codes: 0 success, 2 usage errors, 1 data/runtime errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -330,14 +332,13 @@ def _add_booster_args(p: argparse.ArgumentParser) -> None:
     _add_detector_args(p)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
+def _build_parser(seed: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name; seed ($UADB_SEED) is the --seed default."""
     parser = argparse.ArgumentParser(
         prog="uadb",
         description="Boost unsupervised anomaly detectors with variance-corrected pseudo labels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = os.environ.get("UADB_SEED", "0")
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset CSV")
     p.add_argument("--kind", choices=[k.value for k in SyntheticKind])
@@ -369,6 +370,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_booster_args(p)
     _add_common(p, seed)
     return parser, sub.choices
+
+
+# built once per $UADB_SEED value; a --config run builds its own, as it changes the defaults
+_shared_parser = functools.lru_cache(maxsize=1)(_build_parser)
 
 
 def _write_all(writes: list) -> None:
@@ -406,12 +411,14 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _build_parser()
+    seed = os.environ.get("UADB_SEED", "0")
+    parser, _ = _shared_parser(seed)
     args = parser.parse_args(argv)
     with warnings.catch_warnings():  # restores the caller's showwarning; filters stay as they are
         warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}", file=sys.stderr)
         try:
             if args.config:
+                parser, commands = _build_parser(seed)
                 _apply_config(commands[args.command], _load_config(args.config))
                 args = parser.parse_args(argv)
             cfg = {key: value for key, value in vars(args).items() if key not in ("command", "config")}

@@ -9,7 +9,8 @@ All detectors are deterministic given (dataset, parameters, seed), use
 Euclidean distance, and break distance ties by lowest row index. Working
 memory is bounded for any n: the isolation forest grows its trees in
 lockstep chunks of FOREST_BLOCK_ELEMENTS words, and the neighbor search
-queries rows in chunks of NEIGHBOR_BLOCK_ELEMENTS squared differences.
+queries rows in chunks of NEIGHBOR_BLOCK_ELEMENTS words of squared
+differences and sort keys.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .rng import Stream, derive, indices, uniform_at
 
 # reachability floor for coincident points; keeps LOF finite on duplicates
 LOF_DISTANCE_FLOOR = 1e-12
-# squared differences held at once by the neighbor search
+# words of squared differences and sort keys held at once by the neighbor search
 NEIGHBOR_BLOCK_ELEMENTS = 2**21
 # words the isolation forest's growing trees, or its row-tree pairs, hold at once
 FOREST_BLOCK_ELEMENTS = 2**17
@@ -80,11 +81,13 @@ class DetectorParams:
 def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k nearest other rows as (dist, idx), ordered by (distance, row index).
 
-    A KD-tree proposes every row within (1 + 1e-9) times the k-th distance.
-    Their distances are recomputed in one float64 form and sorted, so ties at
-    the k-th boundary resolve exactly as in an exhaustive scan. Rows whose K
-    results (K = k + 2 at first) all fall inside that radius are queried again
-    with K doubled. Chunks of NEIGHBOR_BLOCK_ELEMENTS // (K * d) rows bound memory.
+    A KD-tree, queried on every CPU, proposes every row within (1 + 1e-9)
+    times the k-th distance. Their distances are recomputed in one float64
+    form and sorted on one stable key, the complex number distance + 1j * row,
+    so ties at the k-th boundary resolve exactly as in an exhaustive scan.
+    Rows whose K results (K = k + 2 at first) all fall inside that radius are
+    queried again with K doubled. Chunks of NEIGHBOR_BLOCK_ELEMENTS // (K * (d + 2))
+    rows bound memory: d words of squared differences and a two-word key per candidate.
     """
     n, d = X.shape
     if not 1 <= k < n:
@@ -96,25 +99,30 @@ def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.empty((n, k), dtype=np.intp)
     rows, K = np.arange(n), min(k + 2, n)
     while rows.size:
-        block = max(1, NEIGHBOR_BLOCK_ELEMENTS // (K * d))
+        block = max(1, NEIGHBOR_BLOCK_ELEMENTS // (K * (d + 2)))
         unsettled = []
         for a in range(0, rows.size, block):
             r = rows[a : a + block]
-            qd, qi = tree.query(X[r], k=K)
+            qd, qi = tree.query(X[r], k=K, workers=-1)  # each row's result is the same on any thread count
             radius = qd[:, k] * (1.0 + 1e-9)  # k-th distance to another row, slack for rounding
             if not np.all(np.isfinite(radius)):
                 raise DataError(f"neighbor distances {OVERFLOW_HINT}")
             settled = (qd[:, -1] > radius) | (K == n)
             unsettled.append(r[~settled])
-            r, qi = r[settled, None], qi[settled]
-            other = (qi != r) & (qi < n)  # the tree returns index n for a missing neighbor
+            r, qi = r[settled], qi[settled]
+            del qd  # before the chunk's differences are gathered
             with np.errstate(over="ignore"):  # the finiteness check below reports it
-                diff = X[r] - X[np.minimum(qi, n - 1)]
+                diff = X.take(np.minimum(qi, n - 1), axis=0)
+                diff -= X[r, None]  # the sign of each difference drops out when it is squared
                 diff *= diff
-            D = np.where(other, np.sqrt(diff.sum(axis=-1)), np.inf)
-            near = np.lexsort((qi, D))[:, :k]
-            idx[r[:, 0]] = np.take_along_axis(qi, near, axis=1)
-            dist[r[:, 0]] = np.take_along_axis(D, near, axis=1)
+            key = np.empty(qi.shape, dtype=complex)
+            np.sqrt(diff.sum(axis=-1), out=key.real)
+            del diff
+            key.real[(qi == r[:, None]) | (qi == n)] = np.inf  # self, and index n: a missing neighbor
+            key.imag = qi
+            near = np.argsort(key, axis=1, kind="stable")[:, :k]  # by distance, then row index
+            idx[r] = np.take_along_axis(qi, near, axis=1)
+            dist[r] = np.take_along_axis(key.real, near, axis=1)
         rows, K = np.concatenate(unsettled), min(2 * K, n)
     if not np.all(np.isfinite(dist)):  # self and missing slots sort as inf: they only show past an overflow
         raise DataError(f"neighbor distances {OVERFLOW_HINT}")

@@ -700,10 +700,27 @@ def test_mistyped_config_value_is_usage_error(clustered_csv, tmp_path, capsys, b
 
 
 def test_seed_env_var_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("UADB_SEED", "9")
     rep = tmp_path / "rep.json"
-    assert main(["synth", "--kind", "local", "--report", str(rep)]) == 0
-    assert json.loads(rep.read_text())["config"]["seed"] == 9
+    for seed in (9, 4, 9):  # read on every call, though the parser is built once
+        monkeypatch.setenv("UADB_SEED", str(seed))
+        assert main(["synth", "--kind", "local", "--report", str(rep)]) == 0
+        assert json.loads(rep.read_text())["config"]["seed"] == seed
+
+
+def test_config_defaults_end_with_their_call(tmp_path, monkeypatch):
+    monkeypatch.delenv("UADB_SEED", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "global", "n": 40, "rate": 0.2, "seed": 5}), encoding="utf-8")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["synth", "--config", str(cfg), "--report", str(first)]) == 0
+    assert main(["synth", "--kind", "local", "--report", str(second)]) == 0
+    # the second call gets the defaults, not the first call's config file
+    for report, want in (
+        (first, {"kind": "global", "n": 40, "rate": 0.2, "seed": 5}),
+        (second, {"kind": "local", "n": 300, "rate": 0.15, "seed": 0}),
+    ):
+        resolved = json.loads(report.read_text())["config"]
+        assert {key: resolved[key] for key in want} == want
 
 
 def _run_python(*args: str, **env: str) -> subprocess.CompletedProcess:

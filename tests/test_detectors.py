@@ -539,7 +539,8 @@ def _permuted_shell(seed: int, d: int) -> np.ndarray:
     return np.vstack([np.zeros(d), shell, -shell])
 
 
-def test_neighbors_match_blocked_scan_oracle():
+def _neighbor_cases() -> list[tuple[np.ndarray, int]]:
+    """(X, k) pairs with twins, grids, binary rows, wide rows, tiny n and permuted shells."""
     grid = np.array([[i, j] for i in range(12) for j in range(12)], dtype=float)
     cases = [generate_synthetic(kind, n=300, seed=4).features for kind in SyntheticKind]
     cases += [
@@ -554,14 +555,29 @@ def test_neighbors_match_blocked_scan_oracle():
         _permuted_shell(26, 12),
         _permuted_shell(33, 9),
     ]
-    for X in cases:
-        n = len(X)
-        for k in sorted({k for k in (1, 5, 20, n - 1) if k < n}):
-            got, want = detectors._neighbors(X, k), _oracle_neighbors(X, k)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (X.shape, k)
     local = generate_synthetic(SyntheticKind.LOCAL, n=4000, seed=4).features
-    got, want = detectors._neighbors(local, 20), _oracle_neighbors(local, 20)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    pairs = [(X, k) for X in cases for k in sorted({k for k in (1, 5, 20, len(X) - 1) if k < len(X)})]
+    return pairs + [(local, 20)]
+
+
+def test_neighbors_match_blocked_scan_oracle():
+    for X, k in _neighbor_cases():
+        got, want = detectors._neighbors(X, k), _oracle_neighbors(X, k)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (X.shape, k)
+
+
+def test_neighbors_same_bits_on_one_thread(monkeypatch):
+    cases = _neighbor_cases()
+    want = [detectors._neighbors(X, k) for X, k in cases]
+
+    class OneThreadTree(scipy.spatial.cKDTree):
+        def query(self, x, k, **kwargs):
+            return super().query(x, k=k, **{**kwargs, "workers": 1})
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", OneThreadTree)
+    for (X, k), (dist, idx) in zip(cases, want):
+        got = detectors._neighbors(X, k)
+        assert np.array_equal(got[0], dist) and np.array_equal(got[1], idx), (X.shape, k)
 
 
 def test_neighbor_blocks_split_anywhere_same_bits(monkeypatch):
@@ -578,15 +594,15 @@ def test_neighbor_blocks_split_anywhere_same_bits(monkeypatch):
     queries = []
 
     class CountingTree(scipy.spatial.cKDTree):
-        def query(self, x, k):
+        def query(self, x, k, **kwargs):
             queries.append((len(x), k))
-            return super().query(x, k=k)
+            return super().query(x, k=k, **kwargs)
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     for rows in (1, 7):  # 7 rows: chunks end at odd row counts, last one short
         for (A, k), (lof, knn) in zip(runs, want):
-            # the first round queries K = k + 2 neighbors of each row
-            monkeypatch.setattr(detectors, "NEIGHBOR_BLOCK_ELEMENTS", rows * (k + 2) * A.shape[1])
+            # the first round queries K = k + 2 neighbors of each row, each d + 2 words
+            monkeypatch.setattr(detectors, "NEIGHBOR_BLOCK_ELEMENTS", rows * (k + 2) * (A.shape[1] + 2))
             queries.clear()
             got_lof, got_knn = scores(A, k)
             assert np.array_equal(got_lof, lof) and np.array_equal(got_knn, knn)
@@ -638,6 +654,23 @@ def test_lof_peak_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 96 * 2**20  # a full 3000 x 3000 x 2 difference tensor alone is 137 MiB
+
+
+def test_neighbor_chunks_count_sort_keys(monkeypatch):
+    # at d = 1 a candidate's two-word sort key outweighs its one squared difference
+    X = Stream(15).uniform(20000)[:, None]
+    detectors._neighbors(X[:50], 3)  # scipy.spatial's one-time import is not the search's
+    budget = 2**15
+    monkeypatch.setattr(detectors, "NEIGHBOR_BLOCK_ELEMENTS", budget)
+    tracemalloc.start()
+    try:
+        detectors._neighbors(X, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # at k = 1 dist, idx, the row numbers and the tree's index take 4n words; chunks sized on
+    # the differences alone peak near 7 budgets above them, these near 2.6
+    assert peak <= 8 * (4 * len(X) + 4 * budget)
 
 
 def test_neighbor_tie_next_to_overflow_matches_oracles():
