@@ -39,9 +39,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import OVERFLOW_HINT, DataError, Dataset, _at_least, _binary_labels, _matrix, _vector, minmax_values
+from .data import (
+    OVERFLOW_HINT, DataError, Dataset, _at_least, _binary_labels, _matrix, _unit_targets, _vector, minmax_values
+)
 from .metrics import _average_ranks, aucroc, average_precision, threshold_predictions
-from .nn import Loss, MlpModel, TrainSpec, _unit_targets, forward, init_mlp, train
+from .nn import Loss, MlpModel, TrainSpec, forward, init_mlp, train
 from .rng import Stream, derive
 
 # seed-derivation tags; keep distinct so streams never overlap

@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +122,7 @@ def _load_dataset(cfg: dict) -> Dataset:
 
 def _detector_params(cfg: dict, kind: str) -> DetectorParams:
     """Settings for detector `kind`; those it refuses on any dataset are usage errors."""
-    settings = {key: cfg[key] for key in ("trees", "subsample", "bins", "k", "components", "seed")}
+    settings = {f.name: cfg[f.name] for f in fields(DetectorParams) if f.name != "kind"}
     return _setting(DetectorParams, kind=DetectorKind(kind), **settings)
 
 
@@ -154,13 +154,17 @@ def _booster_config(cfg: dict, strategy: Strategy) -> BoosterConfig:
     )
 
 
+def _ranking(scores: np.ndarray, labels: np.ndarray) -> dict:
+    """The report's ranking metrics of scores against labels."""
+    return {"aucroc": aucroc(scores, labels), "ap": average_precision(scores, labels)}
+
+
 def _run_metrics(ds: Dataset, teacher: np.ndarray, result: BoosterResult) -> dict:
     y = ds.labels
     out = {
-        "teacher": {"aucroc": aucroc(teacher, y), "ap": average_precision(teacher, y)},
+        "teacher": _ranking(teacher, y),
         "booster": {
-            "aucroc": aucroc(result.final_scores, y),
-            "ap": average_precision(result.final_scores, y),
+            **_ranking(result.final_scores, y),
             "correction_rate": correction_rate(teacher, result.final_scores, y),
         },
         "iterations": iteration_metrics(result, y),
@@ -209,8 +213,7 @@ def cmd_detect(cfg: dict) -> tuple[dict, list[str], dict]:
     lines = [f"{cfg['detector']} on {ds.name}: n={ds.n} d={ds.d}"]
     if ds.labels is not None:
         report["metrics"] = {
-            "aucroc": aucroc(scores, ds.labels),
-            "ap": average_precision(scores, ds.labels),
+            **_ranking(scores, ds.labels),
             "n_pos": int(ds.labels.sum()),
             "n_neg": int(ds.n - ds.labels.sum()),
         }
@@ -245,10 +248,9 @@ def cmd_boost(cfg: dict) -> tuple[dict, list[str], dict]:
     lines = [f"{strategy.value} boost of {cfg['teacher'] or cfg['teacher_scores']} on {ds.name}"]
     if ds.labels is not None:
         mean = {
-            "teacher_aucroc": float(np.mean([r["teacher"]["aucroc"] for r in runs])),
-            "teacher_ap": float(np.mean([r["teacher"]["ap"] for r in runs])),
-            "booster_aucroc": float(np.mean([r["booster"]["aucroc"] for r in runs])),
-            "booster_ap": float(np.mean([r["booster"]["ap"] for r in runs])),
+            f"{side}_{metric}": float(np.mean([r[side][metric] for r in runs]))
+            for side in ("teacher", "booster")
+            for metric in ("aucroc", "ap")
         }
         report["mean"] = mean
         lines.append(
@@ -272,10 +274,7 @@ def cmd_ablate(cfg: dict) -> tuple[dict, list[str], dict]:
     teacher = _teacher_scores(ds, cfg, teacher_params, cfg["seed"])
     variants = {"origin": minmax_values(teacher)}
     variants.update((s.value, scores) for s, scores in ablation_scores(ds, teacher, booster).items())
-    rows = [
-        {"variant": name, "aucroc": aucroc(scores, ds.labels), "ap": average_precision(scores, ds.labels)}
-        for name, scores in variants.items()
-    ]
+    rows = [{"variant": name, **_ranking(scores, ds.labels)} for name, scores in variants.items()]
 
     report = {"command": "ablate", "config": cfg, "n": ds.n, "d": ds.d, "rows": rows}
     width = max(len(r["variant"]) for r in rows)

@@ -17,7 +17,8 @@ and the CLI's history and grid CSVs.
 
 It also holds the argument checks every module shares, each raising a
 DataError that names the argument: _matrix (feature matrices), _vector
-(1-d arrays), _binary_labels (0/1 labels) and _at_least (setting minimums).
+(1-d arrays), _binary_labels (0/1 labels) and _at_least (setting minimums);
+_unit_targets (soft targets in [0, 1]) raises a plain ValueError.
 """
 
 from __future__ import annotations
@@ -101,6 +102,14 @@ def _vector(x, n: int | None, what: str) -> np.ndarray:
     if x.ndim != 1 or n not in (None, x.size):
         raise DataError(f"{what} must have shape ({'n' if n is None else n},), got {x.shape}")
     return x
+
+
+def _unit_targets(y, n: int | None, what: str) -> np.ndarray:
+    """Argument `what` as a float64 (n,) array (_vector) with every entry in [0, 1] (NaN fails)."""
+    y = _vector(y, n, what)
+    if not np.all((y >= 0.0) & (y <= 1.0)):
+        raise ValueError(f"{what} must lie in [0, 1]")
+    return y
 
 
 def _at_least(values, minimums) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -45,16 +46,6 @@ class DetectorKind(enum.Enum):
     PCA = "pca"
 
 
-# the least value of each setting a kind reads, whatever the data; None (k, components) passes
-_MINIMUMS = {
-    DetectorKind.IFOREST: {"trees": 1, "subsample": 2},
-    DetectorKind.HBOS: {"bins": 1},
-    DetectorKind.LOF: {"k": 1},
-    DetectorKind.KNN: {"k": 1},
-    DetectorKind.PCA: {"components": 1},
-}
-
-
 @dataclass(frozen=True)
 class DetectorParams:
     """Detector choice plus its kind-specific settings, checked at construction.
@@ -75,16 +66,17 @@ class DetectorParams:
     def __post_init__(self):
         if not isinstance(self.kind, DetectorKind):
             raise DataError(f"unknown detector kind: {self.kind!r}")
-        _at_least(vars(self), _MINIMUMS[self.kind])
+        _at_least(vars(self), _KINDS[self.kind][1])
 
 
 def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k nearest other rows as (dist, idx), ordered by (distance, row index).
 
-    A KD-tree, queried on every CPU, proposes every row within (1 + 1e-9)
-    times the k-th distance. Their distances are recomputed in one float64
-    form and sorted on one stable key, the complex number distance + 1j * row,
-    so ties at the k-th boundary resolve exactly as in an exhaustive scan.
+    A KD-tree, queried on every CPU the process may run on, proposes every
+    row within (1 + 1e-9) times the k-th distance. Their distances are
+    recomputed in one float64 form and sorted on one stable key, the complex
+    number distance + 1j * row, so ties at the k-th boundary resolve exactly
+    as in an exhaustive scan.
     Rows whose K results (K = k + 2 at first) all fall inside that radius are
     queried again with K doubled. Chunks of NEIGHBOR_BLOCK_ELEMENTS // (K * (d + 2))
     rows bound memory: d words of squared differences and a two-word key per candidate.
@@ -95,6 +87,7 @@ def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     from scipy.spatial import cKDTree  # imported here: most commands never search neighbors
 
     tree = cKDTree(X)
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else -1  # -1: every CPU
     dist = np.empty((n, k))
     idx = np.empty((n, k), dtype=np.intp)
     rows, K = np.arange(n), min(k + 2, n)
@@ -103,7 +96,7 @@ def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         unsettled = []
         for a in range(0, rows.size, block):
             r = rows[a : a + block]
-            qd, qi = tree.query(X[r], k=K, workers=-1)  # each row's result is the same on any thread count
+            qd, qi = tree.query(X[r], k=K, workers=workers)  # each row's result is the same on any thread count
             radius = qd[:, k] * (1.0 + 1e-9)  # k-th distance to another row, slack for rounding
             if not np.all(np.isfinite(radius)):
                 raise DataError(f"neighbor distances {OVERFLOW_HINT}")
@@ -297,10 +290,11 @@ def _fit_hbos(ds: Dataset, params: DetectorParams) -> np.ndarray:
     Only occupied bins are counted, so memory does not grow with bins.
     Constant features contribute 0. A column whose range times bins
     overflows float64 is halved first (halve_wide), which keeps every row's bin.
+    Bin numbers stay float64, exact up to 2**53 bins, so no bin count overflows.
     """
-    X = halve_wide(ds.features, params.bins)
+    bins = float(params.bins)
+    X = halve_wide(ds.features, bins)
     n, d = X.shape
-    bins = params.bins
     scores = np.zeros(n)
     for f in range(d):
         col = X[:, f]
@@ -308,7 +302,7 @@ def _fit_hbos(ds: Dataset, params: DetectorParams) -> np.ndarray:
         hi = col.max()
         if hi == lo:
             continue
-        idx = np.minimum(np.floor((col - lo) * bins / (hi - lo)).astype(np.int64), bins - 1)
+        idx = np.minimum(np.floor((col - lo) * bins / (hi - lo)), bins - 1)
         _, occupied, counts = np.unique(idx, return_inverse=True, return_counts=True)
         scores -= np.log(counts[occupied] / n)
     return scores
@@ -365,18 +359,19 @@ def _fit_pca(ds: Dataset, params: DetectorParams) -> np.ndarray:
 # dispatch
 
 
-_KERNELS = {
-    DetectorKind.IFOREST: _fit_iforest,
-    DetectorKind.HBOS: _fit_hbos,
-    DetectorKind.LOF: _fit_lof,
-    DetectorKind.KNN: _fit_knn,
-    DetectorKind.PCA: _fit_pca,
+# each kind's kernel, and the least value of each setting it reads whatever the data; None (k, components) passes
+_KINDS = {
+    DetectorKind.IFOREST: (_fit_iforest, {"trees": 1, "subsample": 2}),
+    DetectorKind.HBOS: (_fit_hbos, {"bins": 1}),
+    DetectorKind.LOF: (_fit_lof, {"k": 1}),
+    DetectorKind.KNN: (_fit_knn, {"k": 1}),
+    DetectorKind.PCA: (_fit_pca, {"components": 1}),
 }
 
 
 def fit_score(ds: Dataset, params: DetectorParams) -> np.ndarray:
     """Raw scores of detector params.kind under params' settings; DataError unless all are finite."""
-    scores = _KERNELS[params.kind](ds, params)
+    scores = _KINDS[params.kind][0](ds, params)
     if not np.all(np.isfinite(scores)):
         raise DataError("scores contain non-finite values")
     return scores

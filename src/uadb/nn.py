@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _at_least, _matrix, _vector
+from .data import _at_least, _matrix, _unit_targets
 from .rng import Stream, derive
 
 # output clamp: keeps forward inside the open interval and log-losses finite
@@ -114,12 +114,9 @@ def init_mlp(d: int, seed: int = 0, hidden: int = 128) -> MlpModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below: exp(-|z|) <= 1 never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _layers(m: MlpModel, X: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -138,14 +135,6 @@ def forward(m: MlpModel, X: np.ndarray) -> np.ndarray:
     """Score each row; output strictly inside (0, 1)."""
     X = _matrix(X, m.d)
     return _layers(m, X, np.empty((X.shape[0], m.hidden)), np.empty((X.shape[0], m.hidden)))
-
-
-def _unit_targets(y, n: int | None, what: str) -> np.ndarray:
-    """Argument `what` as a float64 (n,) array (_vector) with every entry in [0, 1] (NaN fails)."""
-    y = _vector(y, n, what)
-    if not np.all((y >= 0.0) & (y <= 1.0)):
-        raise ValueError(f"{what} must lie in [0, 1]")
-    return y
 
 
 class _Workspace:

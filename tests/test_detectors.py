@@ -2,9 +2,10 @@
 
 import hashlib
 import math
+import os
 import tracemalloc
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -447,6 +448,18 @@ def test_hbos_memory_does_not_grow_with_bins():
     assert peak < 2**20  # one count per bin would take 8 MB
 
 
+@pytest.mark.parametrize("bins", [2**63 - 1, 10**20, 10**300])
+def test_hbos_accepts_bin_counts_past_int64(bins):
+    """A bin count past int64 is no overflow and no cast warning: each distinct value keeps its own bin."""
+    X = np.column_stack([np.arange(40) % 4, np.arange(40) % 3 * 1e-200]).astype(float)
+    X[0] = (7.0, 2e-200)
+    want = np.zeros(len(X))
+    for col in X.T:
+        _, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
+        want -= np.log(counts[inverse] / len(X))
+    assert np.array_equal(fit_score(Dataset(features=X), DetectorParams(DetectorKind.HBOS, bins=bins)), want)
+
+
 def test_hbos_constant_feature_contributes_zero():
     col = np.array([0.0, 1.0, 2.0, 9.0])
     base = fit_score(Dataset(features=col[:, None]), DetectorParams(DetectorKind.HBOS, bins=4))
@@ -578,6 +591,24 @@ def test_neighbors_same_bits_on_one_thread(monkeypatch):
     for (X, k), (dist, idx) in zip(cases, want):
         got = detectors._neighbors(X, k)
         assert np.array_equal(got[0], dist) and np.array_equal(got[1], idx), (X.shape, k)
+
+
+def test_neighbors_query_on_the_cpus_the_process_may_run_on(monkeypatch):
+    cases = _neighbor_cases()[-3:]
+    want = [detectors._neighbors(X, k) for X, k in cases]
+    workers = []
+
+    class RecordingTree(scipy.spatial.cKDTree):
+        def query(self, x, k, **kwargs):
+            workers.append(kwargs["workers"])
+            return super().query(x, k=k, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    for (X, k), (dist, idx) in zip(cases, want):
+        got = detectors._neighbors(X, k)
+        assert np.array_equal(got[0], dist) and np.array_equal(got[1], idx), (X.shape, k)
+    assert workers and set(workers) == {1}
 
 
 def test_neighbor_blocks_split_anywhere_same_bits(monkeypatch):
@@ -836,7 +867,8 @@ def test_fit_score_dispatch_defaults():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_fit_score_rejects_non_finite_scores(monkeypatch, bad):
     ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=5)
-    monkeypatch.setitem(detectors._KERNELS, DetectorKind.HBOS, lambda ds, params: np.full(ds.n, bad))
+    minimums = detectors._KINDS[DetectorKind.HBOS][1]
+    monkeypatch.setitem(detectors._KINDS, DetectorKind.HBOS, (lambda ds, params: np.full(ds.n, bad), minimums))
     with pytest.raises(DataError, match="scores contain non-finite values"):
         fit_score(ds, DetectorParams(kind=DetectorKind.HBOS))
 
@@ -856,6 +888,13 @@ def test_fit_score_rejects_non_finite_scores(monkeypatch, bad):
 def test_detector_params_refuse_bad_settings_at_construction(kind, setting, message):
     with pytest.raises(DataError, match=f"^{message}$"):
         DetectorParams(kind, **setting)
+
+
+def test_every_kind_declares_a_kernel_and_minimums_of_its_settings():
+    settings = {f.name for f in fields(DetectorParams)} - {"kind"}
+    assert set(detectors._KINDS) == set(DetectorKind)
+    for kind, (kernel, minimums) in detectors._KINDS.items():
+        assert callable(kernel) and minimums and set(minimums) <= settings, kind
 
 
 def test_detector_params_check_only_the_settings_a_kind_reads():

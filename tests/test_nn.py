@@ -9,6 +9,7 @@ from conftest import full_batch_loss, gradient_check
 from uadb import Loss, TrainSpec, aucroc
 from uadb.nn import (
     MlpModel,
+    _sigmoid,
     _Workspace,
     forward,
     init_mlp,
@@ -110,6 +111,27 @@ def test_forward_open_interval_and_zero_input():
     p = forward(m, stream.normal(80).reshape(20, 4))
     assert np.all(p > 0.0) and np.all(p < 1.0)
     assert np.all(np.isfinite(p))
+
+
+def _two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_the_two_branch_form_bit_for_bit():
+    edges = np.array([0.0, np.inf, 710.0, 745.2, 5e-324])
+    z = np.concatenate([edges, -edges, [np.nan]])
+    scales = (1e-300, 1e-20, 0.1, 1.0, 100.0, 1e5)
+    z = np.concatenate([z] + [Stream(i).normal(10**5 // len(scales)) * scale for i, scale in enumerate(scales)])
+    got, want = _sigmoid(z), _two_branch_sigmoid(z)
+    number = ~np.isnan(z)  # a NaN stays NaN; its sign bit carries nothing
+    assert np.array_equal(np.isnan(got), ~number)
+    assert np.array_equal(got[number].view(np.uint64), want[number].view(np.uint64))
+    assert (got[0], got[1], got[len(edges) + 1]) == (0.5, 1.0, 0.0)
 
 
 def test_forward_empty_input():
