@@ -434,6 +434,10 @@ def main(argv: list[str] | None = None) -> int:
         except (DataError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        except MemoryError as exc:  # numpy's names the allocation it refused; Python's own is bare
+            detail = f" ({exc})" if str(exc) else ""
+            print(f"error: out of memory{detail}", file=sys.stderr)
+            return 1
     for line in lines:
         print(line)
     return 0

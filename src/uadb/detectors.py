@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -51,8 +52,9 @@ class DetectorParams:
     """Detector choice plus its kind-specific settings, checked at construction.
 
     Raises DataError for a kind that is not a DetectorKind and for trees < 1, subsample < 2,
-    bins < 1, k < 1 or components < 1, each only for the kinds that read it. k = None means
-    20 (lof) or 5 (knn), components = None max(1, d // 2); fit_score checks k < n, components < d.
+    bins < 1 or past float64's range, k < 1 or components < 1, each only for the kinds that
+    read it. k = None means 20 (lof) or 5 (knn), components = None max(1, d // 2); fit_score
+    checks k < n, components < d.
     """
 
     kind: DetectorKind
@@ -67,6 +69,8 @@ class DetectorParams:
         if not isinstance(self.kind, DetectorKind):
             raise DataError(f"unknown detector kind: {self.kind!r}")
         _at_least(vars(self), _KINDS[self.kind][1])
+        if self.kind is DetectorKind.HBOS and self.bins > sys.float_info.max:  # _fit_hbos counts bins in float64
+            raise DataError(f"need bins <= {sys.float_info.max!r}, got a bin count past float64's range")
 
 
 def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,12 +130,32 @@ def _neighbors(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 # isolation forest
 
 
-def _avg_path_lengths(m: int) -> np.ndarray:
-    """c(0..m), m >= 1: the expected path length of an unsuccessful BST search over 0, 1, ..., m points."""
-    from scipy.special import digamma  # imported here: only the isolation forest needs it
+# Cephes psi, which scipy.special.digamma evaluates: its Euler constant and its asymptotic series, highest power first
+_PSI_EULER = 0.577215664901532860606512090082402431
+_PSI_SERIES = (
+    8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3, -4.16666666666666666667e-3,
+    3.96825396825396825397e-3, -8.33333333333333333333e-3, 8.33333333333333333333e-2,
+)
 
+
+def _avg_path_lengths(m: int) -> np.ndarray:
+    """c(0..m), m >= 1: the expected path length of an unsuccessful BST search over 0, 1, ..., m points.
+
+    H(size - 1) is Cephes psi(size) + Euler's constant, in Cephes' own steps: a
+    running sum of 1/i up to size 10, the asymptotic series above it. Its log
+    is libm's (math.log; numpy's vector log can round differently), so every
+    value has the bits of scipy.special.digamma(size) + np.euler_gamma.
+    """
     sizes = np.arange(2.0, m + 1)
-    harmonic = digamma(sizes) + np.euler_gamma  # H(size - 1)
+    small = min(sizes.size, 9)  # sizes 2..10
+    psi = np.cumsum(1.0 / np.arange(1.0, small + 1)) - _PSI_EULER
+    x = sizes[small:]
+    z = 1.0 / (x * x)
+    series = np.full(x.size, _PSI_SERIES[0])
+    for a in _PSI_SERIES[1:]:
+        series = series * z + a
+    log = np.fromiter(map(math.log, x.tolist()), float, x.size)
+    harmonic = np.concatenate([psi, log - 0.5 / x - z * series]) + np.euler_gamma  # H(size - 1)
     return np.concatenate([[0.0, 0.0], 2.0 * harmonic - 2.0 * (sizes - 1) / sizes])
 
 
@@ -290,7 +314,8 @@ def _fit_hbos(ds: Dataset, params: DetectorParams) -> np.ndarray:
     Only occupied bins are counted, so memory does not grow with bins.
     Constant features contribute 0. A column whose range times bins
     overflows float64 is halved first (halve_wide), which keeps every row's bin.
-    Bin numbers stay float64, exact up to 2**53 bins, so no bin count overflows.
+    Bin numbers stay float64, exact up to 2**53 bins; DetectorParams refuses a
+    bin count past float64's range.
     """
     bins = float(params.bins)
     X = halve_wide(ds.features, bins)

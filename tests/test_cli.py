@@ -485,6 +485,28 @@ def test_diverged_training_is_data_error_before_writing(clustered_csv, tmp_path,
     assert not scores.exists()
 
 
+@pytest.mark.parametrize(
+    ("refusal", "message"),
+    [
+        (
+            MemoryError("Unable to allocate 8.00 EiB for an array with shape (1073741824, 1073741824)"),
+            "error: out of memory (Unable to allocate 8.00 EiB for an array with shape (1073741824, 1073741824))\n",
+        ),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_memory_error_is_one_error_line_before_writing(clustered_csv, tmp_path, capsys, monkeypatch, refusal, message):
+    def refuse(cls, X):
+        raise refusal
+
+    monkeypatch.setattr(uadb.booster.InputConditioner, "fit", classmethod(refuse))
+    scores = tmp_path / "scores.txt"
+    assert main(["boost", "--data", str(clustered_csv), "--teacher", "hbos", "--scores-out", str(scores)]) == 1
+    assert capsys.readouterr().err == message
+    assert not scores.exists()
+
+
 @pytest.mark.parametrize("command", ["detect", "boost", "ablate"])
 @pytest.mark.parametrize(
     ("detector", "setting", "message"),
@@ -492,11 +514,16 @@ def test_diverged_training_is_data_error_before_writing(clustered_csv, tmp_path,
         ("iforest", ["--trees", "0"], "need trees >= 1, got 0"),
         ("iforest", ["--subsample", "1"], "need subsample >= 2, got 1"),
         ("hbos", ["--bins", "0"], "need bins >= 1, got 0"),
+        (
+            "hbos",
+            ["--bins", "1" + "0" * 400],
+            "need bins <= 1.7976931348623157e+308, got a bin count past float64's range",
+        ),
         ("lof", ["--k", "0"], "need k >= 1, got 0"),
         ("knn", ["--k", "-3"], "need k >= 1, got -3"),
         ("pca", ["--components", "0"], "need components >= 1, got 0"),
     ],
-    ids=["trees", "subsample", "bins", "k-zero", "k-negative", "components"],
+    ids=["trees", "subsample", "bins", "bins-past-float64", "k-zero", "k-negative", "components"],
 )
 def test_bad_detector_setting_is_usage_error_before_reading_data(
     tmp_path, capsys, monkeypatch, command, detector, setting, message
@@ -741,10 +768,30 @@ def _run_console(*args: str, **env: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_leaves_scipy_unloaded():
     # a cold `import uadb.cli` stays fast and small only while nothing imports scipy;
-    # it loads inside the detectors that use it (neighbor search, isolation forest)
+    # it loads inside the one part that uses it, the neighbor search of LOF and kNN
     proc = _run_python("-c", "import sys, uadb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_commands_without_a_neighbor_search_leave_scipy_unloaded(clustered_csv, tmp_path):
+    # only the neighbor search needs scipy: the isolation forest tabulates its normalizer itself
+    data, scores = str(clustered_csv), str(tmp_path / "teacher.txt")
+    commands = [
+        ["detect", "--data", data, "--detector", "iforest", "--scores-out", scores],
+        ["detect", "--data", data, "--detector", "pca"],
+        ["detect", "--data", data, "--detector", "hbos"],
+        ["boost", "--data", data, "--teacher", "iforest", "--iterations", "1"],
+        ["boost", "--data", data, "--teacher-scores", scores, "--iterations", "1"],
+    ]
+    script = (
+        "import sys; from uadb.cli import main\n"
+        f"for argv in {commands!r}: assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_boost_scores_do_not_depend_on_blas_threads(clustered_csv, tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import sys
 import tracemalloc
 import warnings
 from dataclasses import dataclass, fields
@@ -225,6 +226,17 @@ def test_iforest_matches_build_then_descend_oracle():
                     assert np.array_equal(got, _oracle_iforest(features, 3, subsample, n))
 
 
+@pytest.mark.parametrize("m", [1, 2, 10, 11, 12, 256, 4097, 2**16])
+def test_avg_path_lengths_keep_the_bits_of_scipy_digamma(m):
+    """The in-house psi table gives c(0..m) to the bit, on both sides of Cephes' switch at size 10."""
+    from scipy.special import digamma
+
+    sizes = np.arange(2.0, m + 1)
+    harmonic = digamma(sizes) + np.euler_gamma
+    want = np.concatenate([[0.0, 0.0], 2.0 * harmonic - 2.0 * (sizes - 1) / sizes])
+    assert np.array_equal(detectors._avg_path_lengths(m), want)
+
+
 def _chunk_sizes(monkeypatch) -> list[int]:
     """Record the number of trees in each lockstep chunk the forest grows."""
     sizes = []
@@ -287,7 +299,7 @@ def test_iforest_wide_data_gathers_features_in_blocks(monkeypatch):
 
 def test_iforest_peak_memory_bounded(monkeypatch):
     ds = generate_synthetic(SyntheticKind.CLUSTERED, seed=3)
-    fit_score(ds, DetectorParams(DetectorKind.IFOREST))  # scipy.special's one-time import is not the forest's
+    fit_score(ds, DetectorParams(DetectorKind.IFOREST))  # first-call allocations are not the forest's
     tracemalloc.start()
     try:
         fit_score(ds, DetectorParams(DetectorKind.IFOREST))
@@ -458,6 +470,15 @@ def test_hbos_accepts_bin_counts_past_int64(bins):
         _, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
         want -= np.log(counts[inverse] / len(X))
     assert np.array_equal(fit_score(Dataset(features=X), DetectorParams(DetectorKind.HBOS, bins=bins)), want)
+
+
+@pytest.mark.parametrize("bins", [int(sys.float_info.max) + 1, 10**400], ids=["max-plus-one", "1e400"])
+def test_detector_params_refuse_bin_counts_past_float64(bins):
+    message = r"^need bins <= 1\.7976931348623157e\+308, got a bin count past float64's range$"
+    with pytest.raises(DataError, match=message):
+        DetectorParams(DetectorKind.HBOS, bins=bins)
+    DetectorParams(DetectorKind.IFOREST, bins=bins)  # only the histogram scorer reads bins
+    DetectorParams(DetectorKind.HBOS, bins=int(sys.float_info.max))
 
 
 def test_hbos_constant_feature_contributes_zero():
