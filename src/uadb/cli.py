@@ -4,11 +4,12 @@ Settings resolve in priority order: explicit flags, then a JSON config file
 (--config; a previously emitted report also works, its "config" key is
 used), then the UADB_SEED environment variable for the seed, then the
 defaults. Each flag declares its default once, read from the library's
-BoosterConfig or DetectorParams where those hold it. The parser is built
-once per UADB_SEED value; a config file becomes the subcommand's defaults in
-a parser built for that call, and the command line is parsed again. Every
-report embeds the fully resolved config, so re-running a command from its
-own report reproduces the artifacts byte for byte.
+BoosterConfig or DetectorParams where those hold it, and each of those two
+is built from its own fields, every field set by its flag. The parser is
+built once per UADB_SEED value; a config file becomes the subcommand's
+defaults in a parser built for that call, and the command line is parsed
+again. Every report embeds the fully resolved config, so re-running a
+command from its own report reproduces the artifacts byte for byte.
 
 Each subcommand returns its report, stdout lines and {setting: writer} for
 its output files; main writes and announces each set path, the report last,
@@ -120,38 +121,27 @@ def _load_dataset(cfg: dict) -> Dataset:
     return scale_features(ds) if cfg["scale"] else ds
 
 
-def _detector_params(cfg: dict, kind: str) -> DetectorParams:
-    """Settings for detector `kind`; those it refuses on any dataset are usage errors."""
-    settings = {f.name: cfg[f.name] for f in fields(DetectorParams) if f.name != "kind"}
-    return _setting(DetectorParams, kind=DetectorKind(kind), **settings)
+# the flags named otherwise than the library fields they set
+_FIELD_FLAGS = {"T": "iterations", "fold_count": "folds"}
+
+
+def _settings(cls, cfg: dict, **fixed):
+    """cls with `fixed` and each other field read from its flag in cfg; a setting cls refuses is a usage error."""
+    flagged = {f.name: cfg[_FIELD_FLAGS.get(f.name, f.name)] for f in fields(cls) if f.name not in fixed}
+    return _setting(cls, **flagged, **fixed)
 
 
 def _teacher_params(cfg: dict) -> DetectorParams | None:
     """The native teacher's settings, or None when scores come from --teacher-scores."""
     if (cfg["teacher"] is None) == (cfg["teacher_scores"] is None):
         raise UsageError("exactly one of --teacher / --teacher-scores is required")
-    return None if cfg["teacher"] is None else _detector_params(cfg, cfg["teacher"])
+    return None if cfg["teacher"] is None else _settings(DetectorParams, cfg, kind=DetectorKind(cfg["teacher"]))
 
 
 def _teacher_scores(ds: Dataset, cfg: dict, params: DetectorParams | None, seed: int) -> np.ndarray:
     if params is None:
         return import_scores(cfg["teacher_scores"], ds.n)
     return fit_score(ds, replace(params, seed=seed))
-
-
-def _booster_config(cfg: dict, strategy: Strategy) -> BoosterConfig:
-    """The run's BoosterConfig at seed cfg["seed"]; bad settings are usage errors."""
-    return _setting(
-        BoosterConfig,
-        T=cfg["iterations"],
-        fold_count=cfg["folds"],
-        strategy=strategy,
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-        loss=Loss(cfg["loss"]),
-        seed=cfg["seed"],
-    )
 
 
 def _ranking(scores: np.ndarray, labels: np.ndarray) -> dict:
@@ -206,7 +196,7 @@ def cmd_synth(cfg: dict) -> tuple[dict, list[str], dict]:
 def cmd_detect(cfg: dict) -> tuple[dict, list[str], dict]:
     _require(cfg, "data")
     _require(cfg, "detector")
-    params = _detector_params(cfg, cfg["detector"])
+    params = _settings(DetectorParams, cfg, kind=DetectorKind(cfg["detector"]))
     ds = _load_dataset(cfg)
     scores = minmax_values(fit_score(ds, params))
     report = {"command": "detect", "config": cfg, "n": ds.n, "d": ds.d, "metrics": None}
@@ -225,7 +215,7 @@ def cmd_boost(cfg: dict) -> tuple[dict, list[str], dict]:
     _require(cfg, "data")
     _setting(_at_least, cfg, {"repeat": 1, "grid_size": 2})
     strategy = Strategy(cfg["strategy"])
-    booster = _booster_config(cfg, strategy)
+    booster = _settings(BoosterConfig, cfg, strategy=strategy, loss=Loss(cfg["loss"]))
     teacher_params = _teacher_params(cfg)
     ds = _load_dataset(cfg)
     if cfg["grid_out"] is not None and ds.d != 2:
@@ -266,7 +256,7 @@ def cmd_boost(cfg: dict) -> tuple[dict, list[str], dict]:
 
 def cmd_ablate(cfg: dict) -> tuple[dict, list[str], dict]:
     _require(cfg, "data")
-    booster = _booster_config(cfg, Strategy.UADB)
+    booster = _settings(BoosterConfig, cfg, strategy=Strategy.UADB, loss=Loss(cfg["loss"]))
     teacher_params = _teacher_params(cfg)
     ds = _load_dataset(cfg)
     if ds.labels is None:

@@ -28,6 +28,7 @@ import enum
 import io
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -312,11 +313,6 @@ def scale_features(ds: Dataset) -> Dataset:
     return replace(ds, features=minmax_values(ds.features))
 
 
-def _anomaly_count(n: int, anomaly_rate: float) -> int:
-    # round half up so the count is a plain function of n * rate
-    return int(math.floor(n * anomaly_rate + 0.5))
-
-
 def generate_synthetic(
     kind: SyntheticKind,
     n: int = 300,
@@ -331,9 +327,11 @@ def generate_synthetic(
     Output is bitwise reproducible for fixed (kind, n, anomaly_rate, seed).
     """
     _at_least({"n": n}, {"n": 20})
+    if n > sys.float_info.max:  # n * anomaly_rate is a float64 product
+        raise DataError(f"need n <= {sys.float_info.max!r}, got a row count past float64's range")
     if not 0.0 < anomaly_rate < 0.5:
         raise DataError(f"need 0 < anomaly_rate < 0.5, got {anomaly_rate}")
-    n_anom = _anomaly_count(n, anomaly_rate)
+    n_anom = math.floor(n * anomaly_rate + 0.5)  # round half up so the count is a plain function of n * rate
     n_in = n - n_anom
     if n_anom < 1:
         raise DataError(f"n={n} with anomaly_rate={anomaly_rate} yields zero anomalies")

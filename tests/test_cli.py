@@ -1,5 +1,6 @@
 """Command-line behavior: wiring, exit codes, artifacts, reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -66,8 +67,9 @@ def test_synth_requires_kind(capsys):
         (["--n", "5"], "need n >= 20, got 5"),
         (["--rate", "0.7"], "need 0 < anomaly_rate < 0.5, got 0.7"),
         (["--n", "20", "--rate", "0.01"], "n=20 with anomaly_rate=0.01 yields zero anomalies"),
+        (["--n", "1" + "0" * 400], "need n <= 1.7976931348623157e+308, got a row count past float64's range"),
     ],
-    ids=["n", "rate", "zero-anomalies"],
+    ids=["n", "rate", "zero-anomalies", "n-past-float64"],
 )
 def test_bad_synth_setting_is_usage_error(tmp_path, capsys, setting, message):
     out, report = tmp_path / "g.csv", tmp_path / "g.json"
@@ -748,6 +750,73 @@ def test_config_defaults_end_with_their_call(tmp_path, monkeypatch):
     ):
         resolved = json.loads(report.read_text())["config"]
         assert {key: resolved[key] for key in want} == want
+
+
+# a non-default value of every library setting: (its config key, the value given there, the field's value);
+# the kind's key is None, as its flag is --detector or --teacher
+_SETTING_VALUES = {
+    uadb.BoosterConfig: {
+        "T": ("iterations", 4, 4),
+        "fold_count": ("folds", 2, 2),
+        "strategy": ("strategy", "naive", uadb.Strategy.NAIVE),
+        "epochs": ("epochs", 3, 3),
+        "batch_size": ("batch_size", 64, 64),
+        "learning_rate": ("learning_rate", 0.0025, 0.0025),
+        "loss": ("loss", "squared-error", uadb.Loss.SQUARED_ERROR),
+        "seed": ("seed", 11, 11),
+    },
+    uadb.DetectorParams: {
+        "kind": (None, "pca", uadb.DetectorKind.PCA),
+        "trees": ("trees", 7, 7),
+        "subsample": ("subsample", 64, 64),
+        "bins": ("bins", 5, 5),
+        "k": ("k", 3, 3),
+        "components": ("components", 1, 1),
+        "seed": ("seed", 11, 11),
+    },
+}
+
+
+class _Built(Exception):
+    """Carries the settings object a command passed to the library."""
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    ("command", "call", "base", "name"),
+    [
+        pytest.param(command, call, base, f.name, id=f"{command}-{f.name}")
+        for command, call, base in [
+            ("boost", "run_booster", uadb.BoosterConfig()),
+            ("ablate", "ablation_scores", uadb.BoosterConfig()),
+            ("detect", "fit_score", uadb.DetectorParams(uadb.DetectorKind.IFOREST)),
+            ("boost", "fit_score", uadb.DetectorParams(uadb.DetectorKind.IFOREST)),
+        ]
+        for f in dataclasses.fields(base)
+        if (command, f.name) != ("ablate", "strategy")  # ablate runs every strategy; it has no --strategy
+    ],
+)
+def test_every_setting_reaches_the_library(clustered_csv, tmp_path, monkeypatch, command, call, base, name, via):
+    """The object a command hands the library takes each field's non-default value from its flag or config key."""
+    monkeypatch.delenv("UADB_SEED", raising=False)
+
+    def capture(*args):  # the settings object is each call's last argument
+        raise _Built(args[-1])
+
+    monkeypatch.setattr(f"uadb.cli.{call}", capture)
+    kind_key = "detector" if command == "detect" else "teacher"
+    key, given, value = _SETTING_VALUES[type(base)][name]
+    settings = {kind_key: "iforest", key or kind_key: given}
+    args = [command, "--data", str(clustered_csv), "--label-column", "label"]
+    if via == "flag":
+        args += [item for k, v in settings.items() for item in (f"--{k.replace('_', '-')}", str(v))]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings), encoding="utf-8")
+        args += ["--config", str(cfg)]
+    with pytest.raises(_Built) as built:
+        main(args)
+    assert built.value.args[0] == dataclasses.replace(base, **{name: value})
 
 
 def _run_python(*args: str, **env: str) -> subprocess.CompletedProcess:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -493,6 +494,23 @@ def test_anomaly_count_rule(kind, n, rate):
     assert ds.n_anomalies == int(np.floor(n * rate + 0.5))
     assert ds.d == 2
     assert ds.name == f"synthetic-{kind.value}"
+
+
+class _Drew(Exception):
+    """Raised by a stand-in Stream: the generator got as far as drawing."""
+
+
+@pytest.mark.parametrize("n", [int(sys.float_info.max) + 1, 10**400], ids=["max-plus-one", "1e400"])
+def test_generator_refuses_row_counts_past_float64_before_drawing(monkeypatch, n):
+    def stream(seed):
+        raise _Drew
+
+    monkeypatch.setattr("uadb.data.Stream", stream)
+    message = r"^need n <= 1\.7976931348623157e\+308, got a row count past float64's range$"
+    with pytest.raises(DataError, match=message):
+        generate_synthetic(SyntheticKind.GLOBAL, n)
+    with pytest.raises(_Drew):  # float64's largest value itself passes the check
+        generate_synthetic(SyntheticKind.GLOBAL, int(sys.float_info.max))
 
 
 @pytest.mark.parametrize("kind", list(SyntheticKind))
