@@ -28,7 +28,6 @@ import enum
 import io
 import math
 import re
-import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -327,8 +326,8 @@ def generate_synthetic(
     Output is bitwise reproducible for fixed (kind, n, anomaly_rate, seed).
     """
     _at_least({"n": n}, {"n": 20})
-    if n > sys.float_info.max:  # n * anomaly_rate is a float64 product
-        raise DataError(f"need n <= {sys.float_info.max!r}, got a row count past float64's range")
+    if n > np.iinfo(np.intp).max:  # past what numpy can index; n * anomaly_rate stays a finite float64
+        raise DataError(f"need n <= {np.iinfo(np.intp).max}, got a row count past a numpy index")
     if not 0.0 < anomaly_rate < 0.5:
         raise DataError(f"need 0 < anomaly_rate < 0.5, got {anomaly_rate}")
     n_anom = math.floor(n * anomaly_rate + 0.5)  # round half up so the count is a plain function of n * rate

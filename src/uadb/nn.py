@@ -36,6 +36,11 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
+# forward's block length: the default training batch, and a multiple of the dgemm M-unroll of
+# OpenBLAS's SkylakeX, Haswell and Sandybridge kernels, so at one BLAS thread the blocks give
+# the bits of one product over all rows
+_FORWARD_BLOCK = 256
+
 
 class Loss(enum.Enum):
     SQUARED_ERROR = "squared-error"
@@ -132,9 +137,22 @@ def _layers(m: MlpModel, X: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.nd
 
 
 def forward(m: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Score each row; output strictly inside (0, 1)."""
+    """Score each row; output strictly inside (0, 1).
+
+    Rows go through the layers in consecutive blocks of _FORWARD_BLOCK, on
+    two activation buffers allocated once, so memory does not grow with n.
+    A last block of one row joins the block before it: numpy sends a
+    one-row product to gemv, whose rounding differs from the same row's
+    inside a gemm.
+    """
     X = _matrix(X, m.d)
-    return _layers(m, X, np.empty((X.shape[0], m.hidden)), np.empty((X.shape[0], m.hidden)))
+    n = X.shape[0]
+    out = np.empty(n)
+    a1, a2 = (np.empty((min(n, _FORWARD_BLOCK + 1), m.hidden)) for _ in range(2))
+    edges = [*range(0, max(n - 1, 1), _FORWARD_BLOCK), n]
+    for start, stop in zip(edges, edges[1:]):
+        out[start:stop] = _layers(m, X[start:stop], a1[: stop - start], a2[: stop - start])
+    return out
 
 
 class _Workspace:

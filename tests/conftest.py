@@ -1,8 +1,14 @@
 """Shared fixtures and helpers: expensive seeded runs, the finite-difference gradient check."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import uadb
 from uadb import (
     BoosterConfig,
     DetectorKind,
@@ -18,6 +24,19 @@ from uadb.rng import Stream, indices
 # Acceptance verdict lines, echoed after the run so they survive output
 # capture (tests/test_acceptance.py appends one line per criterion).
 ACCEPTANCE_LINES: list[str] = []
+
+
+def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run this interpreter on args in a child process whose environment adds env."""
+    # the child must find the same uadb the tests import, installed or not
+    src = str(Path(uadb.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath, **env},
+    )
 
 
 def draw_index(stream: Stream, bound: int) -> int:

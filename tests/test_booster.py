@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -436,6 +437,22 @@ def test_run_booster_accepts_list_teacher():
     cfg = BoosterConfig(T=2, fold_count=2)
     from_list = run_booster(ds, teacher.tolist(), cfg)
     assert np.array_equal(from_list.final_scores, run_booster(ds, teacher, cfg).final_scores)
+
+
+def test_run_booster_memory_stays_a_small_multiple_of_the_features():
+    # forward scores in fixed blocks, so no (n, hidden) activation is ever alive; what is left
+    # is the conditioner's n x d temporaries and each fold's copy of its rows (concurrent folds
+    # hold theirs together)
+    n, d = 50_000, 8
+    ds = Dataset(features=Stream(2).normal(n * d).reshape(n, d))
+    teacher = Stream(3).uniform(n)
+    tracemalloc.start()
+    try:
+        run_booster(ds, teacher, BoosterConfig(T=1, epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ds.features.nbytes, f"peak {peak / 1e6:.1f} MB for {ds.features.nbytes / 1e6:.1f} MB of features"
 
 
 def test_constant_teacher_degenerates_to_half():

@@ -6,12 +6,12 @@ import json
 import os
 import stat
 import subprocess
-import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_python
 
 import uadb
 from uadb.cli import main
@@ -67,9 +67,10 @@ def test_synth_requires_kind(capsys):
         (["--n", "5"], "need n >= 20, got 5"),
         (["--rate", "0.7"], "need 0 < anomaly_rate < 0.5, got 0.7"),
         (["--n", "20", "--rate", "0.01"], "n=20 with anomaly_rate=0.01 yields zero anomalies"),
-        (["--n", "1" + "0" * 400], "need n <= 1.7976931348623157e+308, got a row count past float64's range"),
+        (["--n", "1" + "0" * 20], f"need n <= {np.iinfo(np.intp).max}, got a row count past a numpy index"),
+        (["--n", "1" + "0" * 400], f"need n <= {np.iinfo(np.intp).max}, got a row count past a numpy index"),
     ],
-    ids=["n", "rate", "zero-anomalies", "n-past-float64"],
+    ids=["n", "rate", "zero-anomalies", "n-past-a-numpy-index", "n-past-float64"],
 )
 def test_bad_synth_setting_is_usage_error(tmp_path, capsys, setting, message):
     out, report = tmp_path / "g.csv", tmp_path / "g.json"
@@ -819,26 +820,14 @@ def test_every_setting_reaches_the_library(clustered_csv, tmp_path, monkeypatch,
     assert built.value.args[0] == dataclasses.replace(base, **{name: value})
 
 
-def _run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
-    # the child must find the same uadb the tests import, installed or not
-    src = str(Path(uadb.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath, **env},
-    )
-
-
 def _run_console(*args: str, **env: str) -> subprocess.CompletedProcess:
-    return _run_python("-m", "uadb.cli", *args, **env)
+    return run_python("-m", "uadb.cli", *args, **env)
 
 
 def test_cli_import_leaves_scipy_unloaded():
     # a cold `import uadb.cli` stays fast and small only while nothing imports scipy;
     # it loads inside the one part that uses it, the neighbor search of LOF and kNN
-    proc = _run_python("-c", "import sys, uadb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = run_python("-c", "import sys, uadb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -858,23 +847,27 @@ def test_commands_without_a_neighbor_search_leave_scipy_unloaded(clustered_csv, 
         f"for argv in {commands!r}: assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    proc = _run_python("-c", script)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_boost_scores_do_not_depend_on_blas_threads(clustered_csv, tmp_path):
-    # one BLAS thread: the fold models train concurrently; two: one by one, on a threaded BLAS
-    outputs = []
-    for threads in ("1", "2"):
-        scores = tmp_path / f"scores-{threads}.txt"
-        proc = _run_console(
-            "boost", "--data", str(clustered_csv), "--teacher", "hbos", "--iterations", "2",
-            "--scores-out", str(scores), OPENBLAS_NUM_THREADS=threads,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(scores.read_bytes())
-    assert outputs[0] == outputs[1]
+    # one BLAS thread: the fold models train concurrently; two: one by one, on a threaded BLAS.
+    # 10,001 rows: forward takes 256-row blocks, not one product over every row split between BLAS threads
+    large = tmp_path / "clustered-10001.csv"
+    assert main(["synth", "--kind", "clustered", "--n", "10001", "--out", str(large)]) == 0
+    for data, settings in ((clustered_csv, ["--iterations", "2"]), (large, ["--iterations", "1", "--epochs", "1"])):
+        outputs = []
+        for threads in ("1", "2"):
+            scores = tmp_path / f"scores-{threads}.txt"
+            proc = _run_console(
+                "boost", "--data", str(data), "--teacher", "hbos", *settings,
+                "--scores-out", str(scores), OPENBLAS_NUM_THREADS=threads,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(scores.read_bytes())
+        assert outputs[0] == outputs[1], data.name
 
 
 def test_console_entry_point_runs():

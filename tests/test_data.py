@@ -506,11 +506,21 @@ def test_generator_refuses_row_counts_past_float64_before_drawing(monkeypatch, n
         raise _Drew
 
     monkeypatch.setattr("uadb.data.Stream", stream)
-    message = r"^need n <= 1\.7976931348623157e\+308, got a row count past float64's range$"
+    message = rf"^need n <= {np.iinfo(np.intp).max}, got a row count past a numpy index$"
     with pytest.raises(DataError, match=message):
         generate_synthetic(SyntheticKind.GLOBAL, n)
-    with pytest.raises(_Drew):  # float64's largest value itself passes the check
-        generate_synthetic(SyntheticKind.GLOBAL, int(sys.float_info.max))
+
+
+def test_generator_refuses_row_counts_past_a_numpy_index_before_drawing(monkeypatch):
+    def stream(seed):
+        raise _Drew
+
+    monkeypatch.setattr("uadb.data.Stream", stream)
+    largest = int(np.iinfo(np.intp).max)
+    with pytest.raises(DataError, match=rf"^need n <= {largest}, got a row count past a numpy index$"):
+        generate_synthetic(SyntheticKind.GLOBAL, largest + 1)
+    with pytest.raises(_Drew):  # the largest index itself passes the check
+        generate_synthetic(SyntheticKind.GLOBAL, largest)
 
 
 @pytest.mark.parametrize("kind", list(SyntheticKind))

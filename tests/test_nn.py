@@ -1,14 +1,19 @@
 """Network initialization, forward/backward correctness, training behavior."""
 
+import itertools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import full_batch_loss, gradient_check
+from conftest import full_batch_loss, gradient_check, run_python
 
 from uadb import Loss, TrainSpec, aucroc
 from uadb.nn import (
+    _FORWARD_BLOCK,
     MlpModel,
+    _layers,
     _sigmoid,
     _Workspace,
     forward,
@@ -145,6 +150,50 @@ def test_forward_batching_invariance():
     whole = forward(m, X)
     rows = np.array([forward(m, X[i : i + 1])[0] for i in range(10)])
     np.testing.assert_allclose(whole, rows, atol=1e-12)
+
+
+# no row, one block (255, 256), a one-row tail that joins its block (257, 513, 2049), many blocks (50001)
+_BLOCK_ROWS = (0, 1, 2, 255, 256, 257, 513, 2047, 2048, 2049, 50001)
+_BLOCK_WIDTHS = (1, 2, 130)
+
+
+def _block_mismatches() -> list[tuple[int, int, str]]:
+    """(n, d, memory order) of each case where forward differs from one _layers call over all rows."""
+    mismatches = []
+    for n, d in itertools.product(_BLOCK_ROWS, _BLOCK_WIDTHS):
+        m = init_mlp(d, seed=d)
+        X = Stream(derive(n, d)).normal(n * d).reshape(n, d)
+        orders = {"C": X, "F": np.asfortranarray(X)} if (n, d) == (2049, 130) else {"C": X}
+        for order, Xo in orders.items():
+            whole = _layers(m, Xo, np.empty((n, m.hidden)), np.empty((n, m.hidden)))
+            if not np.array_equal(forward(m, Xo), whole):
+                mismatches.append((n, d, order))
+    return mismatches
+
+
+def test_forward_blocks_equal_one_call_over_all_rows():
+    # at one BLAS thread, pinned in a child process: with more, the one call splits its rows
+    # between threads, and on some kernels that changes their bits
+    tests = str(Path(__file__).resolve().parent)
+    script = f"import sys; sys.path.insert(0, {tests!r}); import test_nn; print(test_nn._block_mismatches())"
+    proc = run_python("-c", script, OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_forward_memory_holds_its_output_and_two_blocks():
+    # n rows cost only their (n,) output: the activations stay two blocks long whatever n is
+    n = 50_000
+    m = init_mlp(8, seed=1)
+    X = Stream(2).normal(n * 8).reshape(n, 8)
+    tracemalloc.start()
+    try:
+        forward(m, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = 8 * n + 2 * 8 * (_FORWARD_BLOCK + 1) * m.hidden + 128 * 1024
+    assert peak < budget, f"peak {peak / 1e6:.2f} MB over a {budget / 1e6:.2f} MB budget"
 
 
 def test_forward_dimension_check():
