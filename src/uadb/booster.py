@@ -43,7 +43,7 @@ from .data import (
     OVERFLOW_HINT, DataError, Dataset, _at_least, _binary_labels, _matrix, _unit_targets, _vector, minmax_values
 )
 from .metrics import _average_ranks, aucroc, average_precision, threshold_predictions
-from .nn import Loss, MlpModel, TrainSpec, forward, init_mlp, train
+from .nn import MlpModel, TrainSpec, forward, init_mlp, train
 from .rng import Stream, derive
 
 # seed-derivation tags; keep distinct so streams never overlap
@@ -63,34 +63,25 @@ class Strategy(enum.Enum):
 _DISCREPANCY_BASE = {Strategy.DISCREPANCY: Strategy.NAIVE, Strategy.DISCREPANCY_STAR: Strategy.SELF}
 
 
-@dataclass(frozen=True)
-class BoosterConfig:
-    """Loop length T, cross-fitting folds, strategy, training settings and seed.
+@dataclass(frozen=True, kw_only=True)
+class BoosterConfig(TrainSpec):
+    """Loop length T, cross-fitting folds and strategy, on top of every round's TrainSpec settings.
 
     fold_count = 1 disables cross-fitting (one model, in-sample predictions).
     Each fold model warm-starts from its previous round's weights, and the
-    final scores are the mean output of all fold models. epochs, batch_size,
-    learning_rate and loss are every round's TrainSpec settings, with its
-    defaults and checks. seed alone seeds the fold assignment, the weight
-    init and every round's batch shuffles.
+    final scores are the mean output of all fold models. The inherited
+    training settings keep TrainSpec's defaults and checks, and every field
+    is keyword-only. seed alone seeds the fold assignment, the weight init
+    and every round's batch shuffles.
     """
 
     T: int = 10
     fold_count: int = 3
     strategy: Strategy = Strategy.UADB
-    epochs: int = TrainSpec.epochs
-    batch_size: int = TrainSpec.batch_size
-    learning_rate: float = TrainSpec.learning_rate
-    loss: Loss = TrainSpec.loss
-    seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         _at_least(vars(self), {"T": 1, "fold_count": 1})
-        self._train_spec(0)
-
-    def _train_spec(self, seed: int) -> TrainSpec:
-        """The training settings with batch-shuffle seed `seed`."""
-        return TrainSpec(self.epochs, self.batch_size, self.learning_rate, self.loss, seed)
 
 
 @dataclass(frozen=True)
@@ -221,7 +212,7 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
     if not np.all(np.isfinite(teacher)):
         raise DataError("teacher scores contain non-finite values")
     if cfg.fold_count > ds.n:
-        raise ValueError(f"fold_count {cfg.fold_count} exceeds row count {ds.n}")
+        raise DataError(f"need fold_count <= n, got fold_count={cfg.fold_count}, n={ds.n}")
     conditioner = InputConditioner.fit(ds.features)
     X = conditioner.apply(ds.features)
     folds = _assign_folds(ds.n, cfg.fold_count, cfg.seed)
@@ -231,7 +222,7 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
         """Train fold f for round t on the other folds' rows, then score its own rows into p."""
         held = np.flatnonzero(folds == f)
         rows = np.flatnonzero(folds != f) if cfg.fold_count > 1 else held
-        spec = cfg._train_spec(derive(cfg.seed, _TAG_TRAIN_SHUFFLE, t, f))
+        spec = replace(cfg, seed=derive(cfg.seed, _TAG_TRAIN_SHUFFLE, t, f))
         # diverging training overflows; the finiteness check on p reports it. Entered here because
         # numpy's error state belongs to a thread, and pool threads do not inherit the caller's
         with np.errstate(over="ignore", invalid="ignore"):

@@ -47,7 +47,7 @@ class Loss(enum.Enum):
     CROSS_ENTROPY = "cross-entropy"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrainSpec:
     epochs: int = 10
     batch_size: int = 256
@@ -93,29 +93,24 @@ class MlpModel:
 def init_mlp(d: int, seed: int = 0, hidden: int = 128) -> MlpModel:
     """Weights ~ Uniform(-3/sqrt(fan_in), +3/sqrt(fan_in)); biases mostly zero.
 
-    The last 18 first-layer units draw bias offsets from the same bounded
-    distribution as their weights; every other bias starts at exactly zero.
-    A rectifier stack with all-zero biases computes a positively homogeneous
-    function (f(a*x) = a*f(x) for a >= 0), which can only rank points
-    monotonically along rays through the origin; the offset block breaks
-    that degeneracy while keeping most units radial. Deterministic per
-    (d, seed, hidden).
+    The draws are written into the weights and biases views of one zeroed
+    model laid out by _shapes. The last 18 first-layer units draw bias
+    offsets from the same bounded distribution as their weights; every other
+    bias stays at exactly zero. A rectifier stack with all-zero biases
+    computes a positively homogeneous function (f(a*x) = a*f(x) for a >= 0),
+    which can only rank points monotonically along rays through the origin;
+    the offset block breaks that degeneracy while keeping most units radial.
+    Deterministic per (d, seed, hidden).
     """
     _at_least({"d": d, "hidden": hidden}, {"d": 1, "hidden": 1})
-    sizes = [d, hidden, hidden, 1]
-    parts = []
-    for layer in range(3):
-        fan_in, fan_out = sizes[layer], sizes[layer + 1]
-        bound = _INIT_GAIN / math.sqrt(fan_in)
-        u = Stream(derive(seed, layer)).uniform(fan_in * fan_out)
+    m = MlpModel(np.zeros(sum(math.prod(shape) for shape in _shapes(d, hidden))), d, hidden)
+    for layer, w in enumerate(m.weights):
+        bound = _INIT_GAIN / math.sqrt(w.shape[0])
+        w.flat = Stream(derive(seed, layer)).uniform(w.size) * 2.0 * bound - bound
         if layer == 0:
-            ub = Stream(derive(seed, 7, layer)).uniform(fan_out)
-            b = ub * 2.0 * bound - bound
-            b[: max(fan_out - _INIT_OFFSET_UNITS, 0)] = 0.0
-        else:
-            b = np.zeros(fan_out)
-        parts += [u * 2.0 * bound - bound, b]
-    return MlpModel(np.concatenate(parts), d, hidden)
+            zeros = max(hidden - _INIT_OFFSET_UNITS, 0)
+            m.biases[0][zeros:] = (Stream(derive(seed, 7, layer)).uniform(hidden) * 2.0 * bound - bound)[zeros:]
+    return m
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

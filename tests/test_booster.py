@@ -93,6 +93,15 @@ def test_booster_config_training_defaults_are_train_spec_defaults():
     )
 
 
+def test_booster_config_is_a_keyword_only_train_spec():
+    # inherited fields come first, so a positional BoosterConfig(5) would otherwise mean epochs=5
+    assert isinstance(BoosterConfig(), TrainSpec)
+    with pytest.raises(TypeError):
+        TrainSpec(10)
+    with pytest.raises(TypeError):
+        BoosterConfig(5)
+
+
 # ---------------------------------------------------------------------------
 # variance and label update
 
@@ -429,6 +438,12 @@ def test_run_booster_rejects_non_finite_teacher(bad):
     teacher[7] = bad
     with pytest.raises(DataError, match="teacher scores contain non-finite values"):
         run_booster(ds, teacher, BoosterConfig(T=1))
+
+
+def test_run_booster_fold_count_past_row_count_is_data_error():
+    ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=0)
+    with pytest.raises(DataError, match=r"^need fold_count <= n, got fold_count=31, n=30$"):
+        run_booster(ds, np.linspace(0.0, 1.0, 30), BoosterConfig(T=1, fold_count=31))
 
 
 def test_run_booster_accepts_list_teacher():

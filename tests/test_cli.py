@@ -115,6 +115,19 @@ def test_detect_k_too_large_is_data_error(clustered_csv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_boost_folds_past_row_count_is_data_error(tmp_path, capsys):
+    path = tmp_path / "c30.csv"
+    assert main(["synth", "--kind", "clustered", "--n", "30", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["boost", "--data", str(path), "--teacher", "hbos", "--folds", "31"]) == 1
+    assert capsys.readouterr().err == "error: need fold_count <= n, got fold_count=31, n=30\n"
+
+
+def test_label_column_not_in_header_is_data_error(clustered_csv, capsys):
+    assert main(["detect", "--data", str(clustered_csv), "--detector", "hbos", "--label-column", "nope"]) == 1
+    assert capsys.readouterr().err == "error: label column 'nope' not in header ['x1', 'x2', 'label']\n"
+
+
 def test_detect_identical_rows_warns_in_one_line(tmp_path, capsys):
     path = tmp_path / "same.csv"
     path.write_text("a,b\n" + "1.0,2.0\n" * 8, encoding="utf-8")
@@ -701,6 +714,21 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"kind": "global", "bogus": 1}), encoding="utf-8")
     assert main(["synth", "--config", str(cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("content", "message"),
+    [
+        ("not json", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+        ("[1, 2]", "config must be a JSON object"),
+    ],
+    ids=["invalid", "not-an-object"],
+)
+def test_bad_config_file_is_data_error(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content, encoding="utf-8")
+    assert main(["synth", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
 def test_boost_report_as_ablate_config_names_boost_only_keys(clustered_csv, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Network initialization, forward/backward correctness, training behavior."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -71,6 +72,19 @@ def test_init_bias_structure():
     bound = 3.0 / math.sqrt(3)
     assert np.any(offsets != 0.0)
     assert np.all(np.abs(offsets) <= bound)
+
+
+# sha256 over init_mlp(d, seed, hidden).theta across the grid below, in itertools.product order
+_INIT_GOLDEN = "05a24332fa34d020d2bd7b62226d9fd5f45e65cd70e447df5238705f7846098e"
+
+
+def test_init_golden_digest_over_widths_and_seeds():
+    """Pins every init draw, also at widths the booster never uses: hidden <= 18 makes every
+    first-layer bias an offset, 19 all but one."""
+    digest = hashlib.sha256()
+    for d, seed, hidden in itertools.product((1, 2, 7, 130), (0, 1, 2**63, 12345), (1, 3, 16, 18, 19, 128)):
+        digest.update(init_mlp(d, seed, hidden).theta.tobytes())
+    assert digest.hexdigest() == _INIT_GOLDEN
 
 
 def test_init_validation():
