@@ -31,10 +31,13 @@ those two scored by teacher/booster disagreement instead ("discrepancy",
 
 from __future__ import annotations
 
+import ctypes
 import enum
-import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -46,6 +49,7 @@ from .metrics import _average_ranks, aucroc, average_precision, threshold_predic
 from .nn import MlpModel, TrainSpec, forward, init_mlp, train
 from .rng import Stream, derive
 
+_BLAS_CAP = threading.RLock()  # held while BLAS is capped: concurrent runs take turns, nested ones re-enter
 # seed-derivation tags; keep distinct so streams never overlap
 _TAG_FOLD_SHUFFLE = 101
 _TAG_MODEL_INIT = 211
@@ -184,18 +188,33 @@ def _discrepancy_scores(result: BoosterResult, ds: Dataset) -> np.ndarray:
     return minmax_values(np.abs(score_points(result, ds.features) - result.label_history[:, 0]) / 2.0)
 
 
-def _fold_workers(fold_count: int) -> int:
-    """Threads that train a round's fold models: all of them when each BLAS call runs on one thread, else one.
-
-    Fold threads that each call a multi-threaded BLAS contend for the same
-    cores: at n=3000 on 2 CPUs three of them took 16 s against 4.4 s for one.
-    The count is the one OpenBLAS reads at load (its own variable, else OpenMP's);
-    unset, it uses every core.
-    """
-    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    return fold_count if threads is not None and threads.strip() == "1" else 1
+@cache
+def _openblas_threads():
+    """numpy's OpenBLAS (get, set) thread-count calls, via the module that links it; None on another BLAS."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        if hasattr(lib, name.format("get")):
+            get = ctypes.CFUNCTYPE(ctypes.c_int)((name.format("get"), lib))
+            return get, ctypes.CFUNCTYPE(None, ctypes.c_int)((name.format("set"), lib))
 
 
+@contextmanager
+def _one_blas_thread():
+    """Run the process's BLAS calls on one thread, then restore numpy's OpenBLAS count; a no-op on another BLAS."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    with _BLAS_CAP:
+        before = calls[0]()
+        calls[1](1)
+        try:
+            yield
+        finally:
+            calls[1](before)
+
+
+@_one_blas_thread()
 def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> BoosterResult:
     """Run the selected boosting strategy end to end.
 
@@ -233,9 +252,9 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
     history = [minmax_values(teacher)]
     variances: list[np.ndarray] = []
     predictions: list[np.ndarray] = []
-    # a round's fold models are independent (own weights, rows and seed), so they can train
-    # concurrently; numpy releases the GIL inside BLAS and ufunc loops
-    with ThreadPoolExecutor(max_workers=_fold_workers(cfg.fold_count)) as pool:
+    # a round's fold models are independent (own weights, rows and seed), so under the cap they train concurrently
+    # (numpy releases the GIL inside BLAS and ufunc loops); uncapped, they would contend with BLAS's own threads
+    with ThreadPoolExecutor(max_workers=cfg.fold_count if _openblas_threads() else 1) as pool:
         for t in range(1, 2 if cfg.strategy is Strategy.NAIVE else cfg.T + 1):
             p = np.empty(ds.n)  # each row scored by the one model whose training folds exclude it
             list(pool.map(fit_fold, range(cfg.fold_count), repeat(t), repeat(history[-1]), repeat(p)))
@@ -258,6 +277,7 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
     )
 
 
+@_one_blas_thread()
 def score_points(result: BoosterResult, X: np.ndarray) -> np.ndarray:
     """Mean booster-model output at arbitrary points (e.g. a plotting grid)."""
     return _fold_mean(result.models, result.conditioner.apply(X))

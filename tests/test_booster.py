@@ -6,8 +6,11 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +49,7 @@ from uadb import (
     update_pseudo_labels,
     variance_gap,
 )
-from uadb.booster import _assign_folds, _fold_workers
+from uadb.booster import _assign_folds
 from uadb.nn import forward, init_mlp, train
 from uadb.rng import Stream, derive, indices
 
@@ -328,11 +331,7 @@ _RUN_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("loss", list(Loss))
-@pytest.mark.parametrize("folds", [1, 3])
-@pytest.mark.parametrize("strategy", list(Strategy))
-def test_run_booster_golden_bits(strategy, folds, loss, monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # fold threads on: unpinned, the folds train one by one
+def _golden_run_digest(strategy: Strategy, folds: int, loss: Loss) -> str:
     ds = generate_synthetic(SyntheticKind.LOCAL, n=257, seed=5)
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.HBOS))
     cfg = BoosterConfig(T=3, fold_count=folds, strategy=strategy, epochs=2, batch_size=64, loss=loss, seed=6)
@@ -340,7 +339,14 @@ def test_run_booster_golden_bits(strategy, folds, loss, monkeypatch):
     digest = hashlib.sha256()
     for array in (res.final_scores, res.label_history, res.variance_history, *(m.theta for m in res.models)):
         digest.update(array.tobytes())
-    assert digest.hexdigest() == _RUN_GOLDEN[strategy.value, folds, loss.value]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("loss", list(Loss))
+@pytest.mark.parametrize("folds", [1, 3])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_run_booster_golden_bits(strategy, folds, loss):
+    assert _golden_run_digest(strategy, folds, loss) == _RUN_GOLDEN[strategy.value, folds, loss.value]
 
 
 def test_training_shuffles_derive_from_the_booster_seed(monkeypatch):
@@ -354,7 +360,9 @@ def test_training_shuffles_derive_from_the_booster_seed(monkeypatch):
 
     monkeypatch.setattr("uadb.booster.train", recording_train)
     run_booster(ds, teacher, BoosterConfig(T=2, fold_count=3, seed=7))
-    assert seeds == [derive(7, 301, t, f) for t in (1, 2) for f in range(3)]
+    # rounds run in order; a round's folds train concurrently, so they may start in any order
+    assert [set(seeds[:3]), set(seeds[3:])] == [{derive(7, 301, t, f) for f in range(3)} for t in (1, 2)]
+    assert len(seeds) == 6
 
 
 
@@ -368,7 +376,6 @@ def test_error_in_a_fold_thread_reaches_the_caller(monkeypatch):
         return train(model, X, y, spec)
 
     monkeypatch.setattr("uadb.booster.train", failing_train)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     with pytest.raises(RuntimeError, match="fold 1 failed"):
         run_booster(ds, teacher, BoosterConfig(T=3, fold_count=3, seed=7))
 
@@ -379,7 +386,6 @@ def test_concurrent_folds_lose_no_update(monkeypatch):
     ds = generate_synthetic(SyntheticKind.CLUSTERED, n=80, seed=8)
     teacher = fit_score(ds, DetectorParams(kind=DetectorKind.HBOS))
     cfg = BoosterConfig(T=3, fold_count=5, epochs=3, batch_size=16, seed=9)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -399,22 +405,117 @@ def test_concurrent_folds_lose_no_update(monkeypatch):
     assert all(np.array_equal(a.theta, b.theta) for a, b in zip(concurrent.models, serial.models))
 
 
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread count, set to 2 so that a cap to 1 shows, and restored after the test."""
+    calls = uadb.booster._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy links no OpenBLAS")
+    get, set_ = calls
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def _recording_blas_threads(monkeypatch, get, fail_fold=False):
+    """Record the BLAS thread count at every train and forward call of a run; fail_fold raises in round 2, fold 1."""
+    seen = []
+
+    def recording_train(model, X, y, spec):
+        seen.append(get())
+        if fail_fold and spec.seed == derive(7, 301, 2, 1):
+            raise RuntimeError("fold 1 failed")
+        return train(model, X, y, spec)
+
+    def recording_forward(model, X):
+        seen.append(get())
+        return forward(model, X)
+
+    monkeypatch.setattr("uadb.booster.train", recording_train)
+    monkeypatch.setattr("uadb.booster.forward", recording_forward)
+    return seen
+
+
 @pytest.mark.parametrize(
-    "env, workers",
+    "cfg, ablate, error",
     [
-        ({}, 1),  # OpenBLAS then uses every core
-        ({"OPENBLAS_NUM_THREADS": "1"}, 3),
-        ({"OMP_NUM_THREADS": "1"}, 3),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "4"}, 1),
+        (BoosterConfig(T=2, seed=7), False, None),
+        (BoosterConfig(T=1, strategy=Strategy.NAIVE, learning_rate=1e300), False, DataError),
+        (BoosterConfig(T=3, seed=7), False, RuntimeError),
+        (BoosterConfig(T=1), True, None),
+        (BoosterConfig(T=1, strategy=Strategy.DISCREPANCY_STAR), False, None),
     ],
+    ids=["run", "diverging", "fold-raises", "ablation", "discrepancy"],
 )
-def test_folds_train_concurrently_only_on_a_one_thread_blas(monkeypatch, env, workers):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert _fold_workers(3) == workers
+def test_a_run_caps_blas_at_one_thread_and_restores_the_count(blas_threads, monkeypatch, cfg, ablate, error):
+    ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=4)
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
+    seen = _recording_blas_threads(monkeypatch, blas_threads, fail_fold=error is RuntimeError)
+    if error is None:
+        (ablation_scores if ablate else run_booster)(ds, teacher, cfg)
+    else:
+        with pytest.raises(error):
+            run_booster(ds, teacher, cfg)
+    assert seen and set(seen) == {1}
+    assert blas_threads() == 2
+
+
+def test_score_points_caps_blas_at_one_thread(blas_threads, monkeypatch):
+    ds = generate_synthetic(SyntheticKind.GLOBAL, n=30, seed=4)
+    result = run_booster(ds, fit_score(ds, DetectorParams(kind=DetectorKind.KNN)), BoosterConfig(T=1))
+    seen = _recording_blas_threads(monkeypatch, blas_threads)
+    score_points(result, ds.features)
+    assert seen and set(seen) == {1}
+    assert blas_threads() == 2
+
+
+def test_concurrent_runs_take_turns_under_the_cap(blas_threads, monkeypatch):
+    ds = generate_synthetic(SyntheticKind.CLUSTERED, n=60, seed=8)
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.HBOS))
+    cfgs = [BoosterConfig(T=3, seed=seed) for seed in (1, 2, 3)]
+    alone = [run_booster(ds, teacher, cfg).final_scores for cfg in cfgs]
+    calls = []  # (the run's fold pool, the BLAS thread count) at each train call
+
+    def recording_train(model, X, y, spec):
+        calls.append((threading.current_thread().name.rpartition("_")[0], blas_threads()))
+        time.sleep(0.005)  # lets the other callers run meanwhile
+        return train(model, X, y, spec)
+
+    monkeypatch.setattr("uadb.booster.train", recording_train)
+    with ThreadPoolExecutor(max_workers=3) as callers:
+        together = list(callers.map(lambda cfg: run_booster(ds, teacher, cfg).final_scores, cfgs))
+    assert len(list(groupby(pool for pool, _ in calls))) == 3  # one run at a time, each in its own fold pool
+    assert {threads for _, threads in calls} == {1}
+    assert blas_threads() == 2
+    assert all(np.array_equal(a, b) for a, b in zip(alone, together))
+
+
+@pytest.mark.parametrize("found", [True, False])
+def test_folds_train_in_fold_count_threads_only_under_the_cap(monkeypatch, found):
+    if found and uadb.booster._openblas_threads() is None:
+        pytest.skip("numpy links no OpenBLAS")
+    if not found:  # MKL or Accelerate: no thread-count call to cap
+        monkeypatch.setattr("uadb.booster._openblas_threads", lambda: None)
+    workers, fold_threads = [], set()
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    def recording_train(model, X, y, spec):
+        fold_threads.add(threading.get_ident())
+        return train(model, X, y, spec)
+
+    monkeypatch.setattr("uadb.booster.ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr("uadb.booster.train", recording_train)
+    digest = _golden_run_digest(Strategy.UADB, 3, Loss.CROSS_ENTROPY)
+    assert workers == [3 if found else 1]
+    assert found or len(fold_threads) == 1
+    assert threading.get_ident() not in fold_threads
+    assert digest == _RUN_GOLDEN["uadb", 3, "cross-entropy"]
+
 
 def test_run_booster_seed_changes_result():
     ds = generate_synthetic(SyntheticKind.LOCAL, n=60, seed=3)

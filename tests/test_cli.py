@@ -881,7 +881,7 @@ def test_commands_without_a_neighbor_search_leave_scipy_unloaded(clustered_csv, 
 
 
 def test_boost_scores_do_not_depend_on_blas_threads(clustered_csv, tmp_path):
-    # one BLAS thread: the fold models train concurrently; two: one by one, on a threaded BLAS.
+    # a run caps numpy's OpenBLAS at one thread, so the count the process starts with must not show.
     # 10,001 rows: forward takes 256-row blocks, not one product over every row split between BLAS threads
     large = tmp_path / "clustered-10001.csv"
     assert main(["synth", "--kind", "clustered", "--n", "10001", "--out", str(large)]) == 0
