@@ -50,7 +50,8 @@ from .nn import MlpModel, TrainSpec, forward, init_mlp, train
 from .rng import Stream, derive
 
 _BLAS_CAP = threading.RLock()  # held while BLAS is capped: concurrent runs take turns, nested ones re-enter
-# seed-derivation tags; keep distinct so streams never overlap
+# seed-derivation tags, distinct from each other; isolation-forest tree t draws from derive(seed, t), so when
+# the teacher and the booster share a seed (as in `uadb boost`), tree 101 draws the fold shuffle's stream
 _TAG_FOLD_SHUFFLE = 101
 _TAG_MODEL_INIT = 211
 _TAG_TRAIN_SHUFFLE = 301

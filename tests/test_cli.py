@@ -882,10 +882,14 @@ def test_commands_without_a_neighbor_search_leave_scipy_unloaded(clustered_csv, 
 
 def test_boost_scores_do_not_depend_on_blas_threads(clustered_csv, tmp_path):
     # a run caps numpy's OpenBLAS at one thread, so the count the process starts with must not show.
+    # 513 rows: forward's last block has 257 rows, whose bits a threaded product changes on the Haswell kernel.
     # 10,001 rows: forward takes 256-row blocks, not one product over every row split between BLAS threads
-    large = tmp_path / "clustered-10001.csv"
-    assert main(["synth", "--kind", "clustered", "--n", "10001", "--out", str(large)]) == 0
-    for data, settings in ((clustered_csv, ["--iterations", "2"]), (large, ["--iterations", "1", "--epochs", "1"])):
+    cases = [(clustered_csv, ["--iterations", "2"])]
+    for n in (513, 10001):
+        path = tmp_path / f"clustered-{n}.csv"
+        assert main(["synth", "--kind", "clustered", "--n", str(n), "--out", str(path)]) == 0
+        cases.append((path, ["--iterations", "1", "--epochs", "1"]))
+    for data, settings in cases:
         outputs = []
         for threads in ("1", "2"):
             scores = tmp_path / f"scores-{threads}.txt"
