@@ -26,7 +26,7 @@ Besides the full method (strategy "uadb"), four reduced strategies support
 ablation: one training pass on the static teacher labels ("naive"),
 self-training on the booster's own normalized output ("self"), and each of
 those two scored by teacher/booster disagreement instead ("discrepancy",
-"discrepancy-star"): the same run as naive or self, rescored at the end.
+"discrepancy-star"): the same run as naive or self, with another final score.
 """
 
 from __future__ import annotations
@@ -184,11 +184,6 @@ def _fold_mean(models: list[MlpModel] | tuple[MlpModel, ...], X: np.ndarray) -> 
     return np.stack([forward(m, X) for m in models]).mean(axis=0)
 
 
-def _discrepancy_scores(result: BoosterResult, ds: Dataset) -> np.ndarray:
-    """Min-max scaled population std |a - b| / 2 of each row's fold-mean output a and teacher label b."""
-    return minmax_values(np.abs(score_points(result, ds.features) - result.label_history[:, 0]) / 2.0)
-
-
 @cache
 def _openblas_threads():
     """numpy's OpenBLAS (get, set) thread-count calls, via the module that links it; None on another BLAS."""
@@ -224,10 +219,11 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
     constant teacher degenerates to all 0.5 and the loop proceeds on
     variance alone. Each round, fold f trains on the other folds' rows (all
     rows when fold_count = 1) and then scores its own held-out rows.
+    The final score is the fold models' mean output a at each row; a
+    discrepancy strategy trains as its base strategy and scores the
+    population std |a - b| / 2 of a and the teacher label b instead.
     """
-    if cfg.strategy in _DISCREPANCY_BASE:  # trains as its base strategy, then is rescored
-        result = run_booster(ds, teacher, replace(cfg, strategy=_DISCREPANCY_BASE[cfg.strategy]))
-        return replace(result, final_scores=_discrepancy_scores(result, ds))
+    base = _DISCREPANCY_BASE.get(cfg.strategy, cfg.strategy)
     teacher = _vector(teacher, ds.n, "teacher")
     if not np.all(np.isfinite(teacher)):
         raise DataError("teacher scores contain non-finite values")
@@ -256,20 +252,22 @@ def run_booster(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> Booster
     # a round's fold models are independent (own weights, rows and seed), so under the cap they train concurrently
     # (numpy releases the GIL inside BLAS and ufunc loops); uncapped, they would contend with BLAS's own threads
     with ThreadPoolExecutor(max_workers=cfg.fold_count if _openblas_threads() else 1) as pool:
-        for t in range(1, 2 if cfg.strategy is Strategy.NAIVE else cfg.T + 1):
+        for t in range(1, 2 if base is Strategy.NAIVE else cfg.T + 1):
             p = np.empty(ds.n)  # each row scored by the one model whose training folds exclude it
             list(pool.map(fit_fold, range(cfg.fold_count), repeat(t), repeat(history[-1]), repeat(p)))
             if not np.all(np.isfinite(p)):
                 raise DataError(f"round {t} diverged: learning rate {cfg.learning_rate} is too large")
             predictions.append(p)
-            if cfg.strategy is Strategy.UADB:
+            if base is Strategy.UADB:
                 variances.append(per_instance_variance(np.column_stack(history), p))
                 history.append(update_pseudo_labels(history[-1], variances[-1]))
-            elif cfg.strategy is Strategy.SELF:
+            elif base is Strategy.SELF:
                 history.append(minmax_values(p))
 
+    mean = _fold_mean(models, X)
+    final = np.abs(mean - history[0]) / 2.0 if cfg.strategy in _DISCREPANCY_BASE else mean
     return BoosterResult(
-        final_scores=minmax_values(_fold_mean(models, X)),
+        final_scores=minmax_values(final),
         label_history=np.column_stack(history),
         variance_history=np.column_stack(variances) if variances else np.empty((ds.n, 0)),
         predictions=np.column_stack(predictions),
@@ -287,15 +285,14 @@ def score_points(result: BoosterResult, X: np.ndarray) -> np.ndarray:
 def ablation_scores(ds: Dataset, teacher: np.ndarray, cfg: BoosterConfig) -> dict[Strategy, np.ndarray]:
     """Final scores of all five strategies from three runs, keyed in report order.
 
-    discrepancy and discrepancy-star train exactly as naive and self do and
-    differ only in the final score, so they are derived from those two runs
-    instead of training again. cfg.strategy is ignored.
+    The discrepancy and discrepancy-star runs train exactly as naive and self do, so naive's and self's
+    scores are those two runs' fold-mean outputs instead of two more runs. cfg.strategy is ignored.
     """
     scores = {}
     for derived, base in _DISCREPANCY_BASE.items():
-        result = run_booster(ds, teacher, replace(cfg, strategy=base))
-        scores[base] = result.final_scores
-        scores[derived] = _discrepancy_scores(result, ds)
+        result = run_booster(ds, teacher, replace(cfg, strategy=derived))
+        scores[base] = minmax_values(score_points(result, ds.features))
+        scores[derived] = result.final_scores
     scores[Strategy.UADB] = run_booster(ds, teacher, replace(cfg, strategy=Strategy.UADB)).final_scores
     return scores
 

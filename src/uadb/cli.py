@@ -171,7 +171,7 @@ def _save_history(result: BoosterResult, path: str) -> None:
 
 
 def _save_grid(result: BoosterResult, ds: Dataset, path: str, grid_size: int) -> None:
-    """Booster scores over a 2-d mesh spanning the (scaled) feature ranges."""
+    """The fold models' mean output over a 2-d mesh spanning the (scaled) feature ranges."""
     lo = ds.features.min(axis=0)
     hi = ds.features.max(axis=0)
     xs = np.linspace(lo[0], hi[0], grid_size)

@@ -36,7 +36,7 @@ FOREST_BLOCK_ELEMENTS = 2**17
 
 
 class DegenerateDataWarning(UserWarning):
-    """All rows identical: scores carry no ranking information."""
+    """Scores carry no ranking information: all rows identical, or PCA keeps every direction the data spans."""
 
 
 class DetectorKind(enum.Enum):
@@ -363,7 +363,13 @@ def _fit_knn(ds: Dataset, params: DetectorParams) -> np.ndarray:
 
 
 def _fit_pca(ds: Dataset, params: DetectorParams) -> np.ndarray:
-    """Squared reconstruction error off the top `components` principal axes (default max(1, d // 2))."""
+    """Squared reconstruction error off the top `components` principal axes (default max(1, d // 2)).
+
+    The centred data's numerical rank counts the covariance eigenvalues above
+    lambda_max * d * eps, the conditioner's null rule. When components
+    reaches it, the residual is rounding noise; a DegenerateDataWarning says
+    so and the scores are returned as they are.
+    """
     X = ds.features
     n, d = X.shape
     components = max(1, d // 2) if params.components is None else params.components
@@ -374,7 +380,11 @@ def _fit_pca(ds: Dataset, params: DetectorParams) -> np.ndarray:
         cov = (centered.T @ centered) / (n - 1)
     if not np.all(np.isfinite(cov)):
         raise DataError(f"feature covariance {OVERFLOW_HINT}")
-    _, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    vals, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    rank = np.count_nonzero(vals > vals[-1] * d * np.finfo(np.float64).eps)
+    if components >= rank:
+        warnings.warn(f"components={components} reaches the data's rank {rank}: PCA residuals are rounding noise",
+                      DegenerateDataWarning)
     top = vecs[:, d - components :]
     residual = centered - (centered @ top) @ top.T
     return (residual * residual).sum(axis=1)

@@ -883,6 +883,26 @@ def test_discrepancy_scores_follow_their_definition(strategy, base):
     assert np.array_equal(got.predictions, ref.predictions) and got.variance_history.shape == (40, 0)
 
 
+@pytest.mark.parametrize("strategy", [Strategy.DISCREPANCY, Strategy.DISCREPANCY_STAR])
+def test_a_discrepancy_run_is_one_run_with_one_conditioner_pass(monkeypatch, strategy):
+    """The final-score rule reuses the run's conditioned features: no second run and no second apply."""
+    ds = generate_synthetic(SyntheticKind.LOCAL, n=40, seed=6)
+    teacher = fit_score(ds, DetectorParams(kind=DetectorKind.KNN))
+    calls = []
+
+    def counting(fn, name):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(uadb.booster, "run_booster", counting(uadb.booster.run_booster, "run_booster"))
+    monkeypatch.setattr(InputConditioner, "apply", counting(InputConditioner.apply, "apply"))
+    uadb.booster.run_booster(ds, teacher, BoosterConfig(T=2, fold_count=2, epochs=2, strategy=strategy))
+    assert calls == ["run_booster", "apply"]
+
+
 @pytest.mark.parametrize("fold_count", [1, 3])
 @pytest.mark.parametrize("kind", list(SyntheticKind), ids=lambda k: k.value)
 def test_ablation_scores_equal_per_strategy_runs(kind, fold_count):

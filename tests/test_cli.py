@@ -594,7 +594,7 @@ def test_ablate_trains_three_runs(clustered_csv, monkeypatch):
     monkeypatch.setattr("uadb.cli.run_booster", counted)
     argv = ["ablate", "--data", str(clustered_csv), "--label-column", "label", "--teacher", "hbos", "--iterations", "1"]
     assert main(argv) == 0
-    assert strategies == ["naive", "self", "uadb"]
+    assert strategies == ["discrepancy", "discrepancy-star", "uadb"]
 
 
 def test_ablate_six_rows_and_origin_consistency(clustered_csv, tmp_path):

@@ -758,8 +758,19 @@ def test_lof_peak_memory_bounded_on_tied_binary():
 def test_pca_on_line_scores_zero():
     t = np.linspace(-2.0, 2.0, 15)
     X = np.column_stack([t, 3.0 * t])
-    s = fit_score(Dataset(features=X), DetectorParams(DetectorKind.PCA, components=1))
+    with pytest.warns(DegenerateDataWarning, match=r"^components=1 reaches the data's rank 1: "):
+        s = fit_score(Dataset(features=X), DetectorParams(DetectorKind.PCA, components=1))
     assert np.all(s < 1e-10)
+
+
+def test_pca_components_at_the_rank_warn_and_keep_the_scores():
+    """30 rows span 29 of 80 directions, so the default 40 components leave rounding noise, scored as before."""
+    X = _random_points(30, 30, 80)
+    with pytest.warns(DegenerateDataWarning, match=r"^components=40 reaches the data's rank 29: "):
+        s = fit_score(Dataset(features=X), DetectorParams(DetectorKind.PCA))
+    assert s.max() < 1e-20
+    # the bytes fit_score gave before it checked the rank
+    assert hashlib.sha256(s.tobytes()).hexdigest() == "1f61fa91c53a6544eeb214975d0e50a8ad13a795305481ca4a7b1cd28cd33b9b"
 
 
 def test_pca_off_line_point_scores_positive():
@@ -864,9 +875,10 @@ _DETECTOR_GOLDEN = {
 }
 
 
+@pytest.mark.filterwarnings("error::uadb.DegenerateDataWarning")  # every pca input here is full rank
 @pytest.mark.parametrize("case", sorted(_DETECTOR_GOLDEN), ids=lambda case: "-".join(map(str, case)))
 def test_detector_golden_grid(case):
-    """hbos, lof, knn and pca scores stay bit for bit what they were."""
+    """hbos, lof, knn and pca scores stay bit for bit what they were, with no degenerate-data warning."""
     assert _detector_grid_digest(*case) == _DETECTOR_GOLDEN[case]
 
 
