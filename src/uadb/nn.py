@@ -153,20 +153,25 @@ def forward(m: MlpModel, X: np.ndarray) -> np.ndarray:
 class _Workspace:
     """Buffers for the gradient of any batch of up to `rows` rows, allocated once per train call.
 
-    Three (rows, hidden) blocks hold a1, a2 and g2; g1 reuses a2's block
-    once a2 is dead. The ReLU masks come from a > 0, which equals z > 0.
-    The flat gradient is laid out like theta, with per-layer views.
+    Two (rows, hidden) blocks hold only the live values: g2 overwrites a2
+    once gw[2] and a2's mask are taken, and g1 overwrites a1 once gw[1] and
+    a1's mask are taken. The ReLU masks are a > 0 temporaries (a > 0 equals
+    z > 0). a1 is the head of `scratch`, max(rows * hidden, theta.size)
+    words: a1 is dead from the end of the backward pass to the next forward,
+    so train's update uses the theta-sized head of its storage. The flat
+    gradient is laid out like theta, with per-layer views.
     """
 
     def __init__(self, m: MlpModel, rows: int):
-        self.a1, self.a2, self.g2 = (np.empty((rows, m.hidden)) for _ in range(3))
-        self.mask = np.empty((rows, m.hidden), dtype=bool)
+        self.scratch = np.empty(max(rows * m.hidden, m.theta.size))
+        self.a1 = self.scratch[: rows * m.hidden].reshape(rows, m.hidden)
+        self.a2 = np.empty((rows, m.hidden))
         self.grad = MlpModel(np.empty_like(m.theta), m.d, m.hidden)
 
     def gradient(self, m: MlpModel, X: np.ndarray, y: np.ndarray, loss: Loss) -> np.ndarray:
         """Analytic gradient of the mean loss over the rows of X; a view into the workspace."""
         n = X.shape[0]
-        a1, a2, g2, mask = self.a1[:n], self.a2[:n], self.g2[:n], self.mask[:n]
+        a1, a2 = self.a1[:n], self.a2[:n]
         pv = _layers(m, X, a1, a2)
         if loss is Loss.SQUARED_ERROR:
             g3 = (2.0 * (pv - y) * pv * (1.0 - pv) / n)[:, None]
@@ -175,13 +180,13 @@ class _Workspace:
         gw, gb = self.grad.weights, self.grad.biases
         np.matmul(a2.T, g3, out=gw[2])
         np.sum(g3, axis=0, out=gb[2])
-        np.greater(a2, 0.0, out=mask)
-        np.multiply(g3, m.weights[2].T, out=g2)  # (rows, 1) x (1, hidden): an outer product
+        mask = a2 > 0.0
+        g2 = np.multiply(g3, m.weights[2].T, out=a2)  # (rows, 1) x (1, hidden): an outer product
         g2 *= mask
         np.matmul(a1.T, g2, out=gw[1])
         np.sum(g2, axis=0, out=gb[1])
         np.greater(a1, 0.0, out=mask)
-        g1 = np.matmul(g2, m.weights[1].T, out=a2)
+        g1 = np.matmul(g2, m.weights[1].T, out=a1)
         g1 *= mask
         np.matmul(X.T, g1, out=gw[0])
         np.sum(g1, axis=0, out=gb[0])
@@ -203,7 +208,7 @@ def train(m: MlpModel, X: np.ndarray, y: np.ndarray, spec: TrainSpec) -> MlpMode
     workspace = _Workspace(out, min(spec.batch_size, n))
     moment1 = np.zeros_like(out.theta)
     moment2 = np.zeros_like(out.theta)
-    scratch = np.empty_like(out.theta)
+    scratch = workspace.scratch[: out.theta.size]  # a1's storage: dead from each gradient's end to the next
     step = 0
     n_batches = math.ceil(n / spec.batch_size)
     for epoch in range(spec.epochs):

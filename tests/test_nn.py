@@ -339,6 +339,26 @@ def test_train_deterministic_and_pure():
     assert not np.array_equal(out1.weights[0], out3.weights[0])
 
 
+def test_train_memory_holds_adam_state_and_two_blocks():
+    # theta, its gradient and two moments, then a1 (whose storage is also the update's scratch)
+    # and a2: no third block, no stored mask, no scratch vector of its own. The slack holds one
+    # step's transients: the batch copies, the bool mask and numpy's 64 KiB ufunc buffers
+    n, batch = 2_000, 256
+    m = init_mlp(8, seed=1)
+    X = Stream(2).normal(n * 8).reshape(n, 8)
+    y = Stream(3).uniform(n)
+    spec = TrainSpec(epochs=1, batch_size=batch, seed=4)
+    tracemalloc.start()
+    try:
+        train(m, X, y, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    p, block = m.theta.size, batch * m.hidden
+    budget = 8 * (4 * p + max(block, p) + block) + 320 * 1024
+    assert peak < budget, f"peak {peak / 1e6:.2f} MB over a {budget / 1e6:.2f} MB budget"
+
+
 def _per_tensor_adam_train(m, X, y, spec):
     """Reference training loop: one moment pair and one Adam update per weight/bias tensor."""
     out = m.copy()
@@ -369,8 +389,11 @@ def _per_tensor_adam_train(m, X, y, spec):
 def test_train_matches_per_tensor_adam(loss):
     m = init_mlp(3, seed=74, hidden=16)
     X, y = _tiny_batch(75, n=50, d=3)
-    spec = TrainSpec(epochs=3, batch_size=16, learning_rate=0.01, loss=loss, seed=76)
-    assert np.array_equal(train(m, X, y, spec).theta, _per_tensor_adam_train(m, X, y, spec).theta)
+    # theta holds 353 words: a 16-row block (256 words) is shorter, so the workspace's first
+    # buffer, a1's storage and the update's scratch, is theta-sized; a 32-row one (512) sizes it
+    for batch_size in (16, 32):
+        spec = TrainSpec(epochs=3, batch_size=batch_size, learning_rate=0.01, loss=loss, seed=76)
+        assert np.array_equal(train(m, X, y, spec).theta, _per_tensor_adam_train(m, X, y, spec).theta)
 
 
 def test_train_spec_validation():
