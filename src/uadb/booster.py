@@ -43,7 +43,7 @@ from itertools import repeat
 import numpy as np
 
 from .data import (
-    OVERFLOW_HINT, DataError, Dataset, _at_least, _binary_labels, _matrix, _unit_targets, _vector, minmax_values
+    DataError, Dataset, _at_least, _binary_labels, _matrix, _principal_axes, _unit_targets, _vector, minmax_values
 )
 from .metrics import _average_ranks, aucroc, average_precision, threshold_predictions
 from .nn import MlpModel, TrainSpec, forward, init_mlp, train
@@ -97,9 +97,8 @@ class InputConditioner:
     covariance; scale a per-direction robust spread (1.4826 * MAD). Where
     the MAD is exactly 0 (half or more of the rows share one value, as
     with sparse binary features) the direction's standard deviation
-    stands in. A direction whose eigenvalue is at most lambda_max * d * eps
-    (duplicated, summed or constant columns, d > n, one-hot groups) or
-    whose spread is exactly 0 gets scale inf, which maps it to 0. With no
+    stands in. A null direction of the covariance (data._principal_axes) or
+    one whose spread is exactly 0 gets scale inf, which maps it to 0. With no
     other floor, a power-of-two rescale of the features leaves the output
     as it is while the covariance stays within about 1e+-146.
     """
@@ -110,17 +109,15 @@ class InputConditioner:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "InputConditioner":
+        X = _matrix(X, None)
         mu = X.mean(axis=0)
-        with np.errstate(over="ignore"):  # the finiteness check below reports it
+        with np.errstate(over="ignore"):  # _principal_axes reports it
             cov = np.atleast_2d(np.cov(X - mu, rowvar=False, bias=True))
-        if not np.all(np.isfinite(cov)):
-            raise DataError(f"feature covariance {OVERFLOW_HINT}")
-        vals, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
+        vecs, null = _principal_axes(cov)
         Z = (X - mu) @ vecs
         mad = np.median(np.abs(Z - np.median(Z, axis=0)), axis=0) * 1.4826
         spread = np.where(mad > 0.0, mad, Z.std(axis=0))
-        null = (vals <= vals[-1] * len(vals) * np.finfo(np.float64).eps) | (spread == 0.0)
-        return cls(mu, vecs, np.where(null, np.inf, spread))
+        return cls(mu, vecs, np.where(null | (spread == 0.0), np.inf, spread))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = _matrix(X, self.center.shape[0])

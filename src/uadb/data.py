@@ -18,7 +18,8 @@ and the CLI's history and grid CSVs.
 It also holds the argument checks every module shares, each raising a
 DataError that names the argument: _matrix (feature matrices), _vector
 (1-d arrays), _binary_labels (0/1 labels) and _at_least (setting minimums);
-_unit_targets (soft targets in [0, 1]) raises a plain ValueError.
+_unit_targets (soft targets in [0, 1]) raises a plain ValueError. The input
+conditioner and PCA share _principal_axes, the one null-direction rule.
 """
 
 from __future__ import annotations
@@ -289,6 +290,14 @@ def halve_wide(x: np.ndarray, factor: float = 1.0) -> np.ndarray:
         while (wide := finite & ~np.isfinite((hi * scale - lo * scale) * factor)).any():
             scale = np.where(wide, scale * 0.5, scale)
     return x if (scale == 1.0).all() else x * scale
+
+
+def _principal_axes(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A covariance's eigenvectors (eigenvalues ascending) and its null directions; DataError if it overflowed."""
+    if not np.all(np.isfinite(cov)):
+        raise DataError(f"feature covariance {OVERFLOW_HINT}")
+    vals, vecs = np.linalg.eigh(cov)
+    return vecs, vals <= vals[-1] * len(vals) * np.finfo(np.float64).eps
 
 
 def minmax_values(x: np.ndarray) -> np.ndarray:

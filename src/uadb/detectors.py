@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import OVERFLOW_HINT, DataError, Dataset, _at_least, halve_wide
+from .data import OVERFLOW_HINT, DataError, Dataset, _at_least, _principal_axes, halve_wide
 from .rng import Stream, derive, indices, uniform_at
 
 # reachability floor for coincident points; keeps LOF finite on duplicates
@@ -365,10 +365,9 @@ def _fit_knn(ds: Dataset, params: DetectorParams) -> np.ndarray:
 def _fit_pca(ds: Dataset, params: DetectorParams) -> np.ndarray:
     """Squared reconstruction error off the top `components` principal axes (default max(1, d // 2)).
 
-    The centred data's numerical rank counts the covariance eigenvalues above
-    lambda_max * d * eps, the conditioner's null rule. When components
-    reaches it, the residual is rounding noise; a DegenerateDataWarning says
-    so and the scores are returned as they are.
+    The centred data's rank is d less its null directions (data._principal_axes,
+    the conditioner's rule too). When components reaches it, the residual is
+    rounding noise; a DegenerateDataWarning says so and the scores are kept.
     """
     X = ds.features
     n, d = X.shape
@@ -376,12 +375,10 @@ def _fit_pca(ds: Dataset, params: DetectorParams) -> np.ndarray:
     if not 1 <= components < d:
         raise DataError(f"need 1 <= components < d, got components={components}, d={d}")
     centered = X - X.mean(axis=0)
-    with np.errstate(over="ignore"):  # the finiteness check below reports it
+    with np.errstate(over="ignore"):  # _principal_axes reports it
         cov = (centered.T @ centered) / (n - 1)
-    if not np.all(np.isfinite(cov)):
-        raise DataError(f"feature covariance {OVERFLOW_HINT}")
-    vals, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
-    rank = np.count_nonzero(vals > vals[-1] * d * np.finfo(np.float64).eps)
+    vecs, null = _principal_axes(cov)
+    rank = d - np.count_nonzero(null)
     if components >= rank:
         warnings.warn(f"components={components} reaches the data's rank {rank}: PCA residuals are rounding noise",
                       DegenerateDataWarning)

@@ -1,4 +1,4 @@
-"""Shared fixtures and helpers: expensive seeded runs, the finite-difference gradient check."""
+"""Shared fixtures and helpers: expensive seeded runs, the finite-difference gradient check, the metric oracles."""
 
 import os
 import subprocess
@@ -76,6 +76,26 @@ def gradient_check(
         fd = (hi - lo) / (2.0 * h)
         worst = max(worst, abs(g - fd) / max(abs(g) + abs(fd), 1e-6))
     return worst
+
+
+def oracle_aucroc(scores, labels):
+    """All positive/negative pairs; wins count 1, ties 1/2."""
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
+    return wins / (len(pos) * len(neg))
+
+
+def oracle_ap(scores, labels):
+    """Walk the descending ranking, ties by lowest index; sum precision at each positive hit."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    hits = 0
+    total = 0.0
+    for rank, i in enumerate(order, start=1):
+        if labels[i] == 1:
+            hits += 1
+            total += hits / rank
+    return total / labels.sum()
 
 
 def pytest_terminal_summary(terminalreporter):

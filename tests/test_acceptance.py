@@ -103,24 +103,6 @@ def test_criterion_1_gap_narrowing_law():
 # 2. ranking metric oracles
 
 
-def _oracle_aucroc(scores, labels):
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
-    return wins / (len(pos) * len(neg))
-
-
-def _oracle_ap(scores, labels):
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    hits = 0
-    total = 0.0
-    for rank, i in enumerate(order, start=1):
-        if labels[i] == 1:
-            hits += 1
-            total += hits / rank
-    return total / labels.sum()
-
-
 def test_criterion_2_metric_oracles():
     stream = Stream(2002)
     start = time.monotonic()
@@ -135,8 +117,8 @@ def test_criterion_2_metric_oracles():
         labels[-1] = 0
         worst = max(
             worst,
-            abs(aucroc(scores, labels) - _oracle_aucroc(scores, labels)),
-            abs(average_precision(scores, labels) - _oracle_ap(scores, labels)),
+            abs(aucroc(scores, labels) - conftest.oracle_aucroc(scores, labels)),
+            abs(average_precision(scores, labels) - conftest.oracle_ap(scores, labels)),
         )
     elapsed = time.monotonic() - start
     ok = worst <= 1e-12 and elapsed < 5.0

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import groupby
@@ -25,6 +26,7 @@ from uadb import (
     BoosterConfig,
     DataError,
     Dataset,
+    DegenerateDataWarning,
     DetectorKind,
     DetectorParams,
     InputConditioner,
@@ -661,6 +663,15 @@ def test_conditioner_constant_direction_maps_to_zero():
     assert np.all(np.isfinite(Z))
 
 
+def test_conditioner_fit_checks_its_argument_as_apply_does():
+    rows = [[0.0, 1.0], [2.0, 0.5], [1.0, 3.0]]
+    c = InputConditioner.fit(rows)
+    assert np.array_equal(c.apply(rows), InputConditioner.fit(np.array(rows)).apply(np.array(rows)))
+    for bad in (np.arange(5.0), np.zeros((4, 2, 2))):
+        with pytest.raises(DataError, match=re.escape(f"expected shape (n, d), got {bad.shape}")):
+            InputConditioner.fit(bad)
+
+
 def test_conditioner_sparse_binary_features_stay_bounded():
     """Bernoulli(0.1) columns have MAD 0 in every rotated direction; the
     standard deviation must stand in so inputs do not saturate the network."""
@@ -851,6 +862,22 @@ def test_rank_deficient_features_give_the_same_scores_at_every_power_of_two_scal
     """
     first, second = _scores_at_scales(X, BoosterConfig(T=2, epochs=2), 0, k)
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize(("n", "base", "extra"), [(300, 5, 2), (40, 30, 25), (20, 3, 40)])
+def test_conditioner_and_pca_agree_on_null_directions(n, base, extra):
+    """Columns [B, B @ M] span min(base, n - 1) centred directions: the conditioner zeroes the rest, PCA counts them."""
+    stream = Stream(n + base + extra)
+    B = stream.normal(n * base).reshape(n, base)
+    X = np.hstack([B, B @ stream.normal(base * extra).reshape(base, extra)])
+    rank = min(base, n - 1)
+    assert np.count_nonzero(np.isinf(InputConditioner.fit(X).scale)) == base + extra - rank
+    ds = Dataset(features=X)
+    with pytest.warns(DegenerateDataWarning, match=rf"^components={rank} reaches the data's rank {rank}: "):
+        fit_score(ds, DetectorParams(DetectorKind.PCA, components=rank))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateDataWarning)
+        fit_score(ds, DetectorParams(DetectorKind.PCA, components=rank - 1))
 
 
 @pytest.mark.parametrize("kind", list(SyntheticKind), ids=lambda k: k.value)

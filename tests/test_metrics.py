@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import draw_index
+from conftest import draw_index, oracle_ap, oracle_aucroc
 from scipy.stats import rankdata
 
 from uadb import (
@@ -17,33 +17,7 @@ from uadb.metrics import _average_ranks
 from uadb.rng import Stream
 
 # ---------------------------------------------------------------------------
-# oracles
-
-
-def _oracle_aucroc(scores, labels):
-    """All positive/negative pairs; wins count 1, ties 1/2."""
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = 0.0
-    for p in pos:
-        for q in neg:
-            if p > q:
-                wins += 1.0
-            elif p == q:
-                wins += 0.5
-    return wins / (len(pos) * len(neg))
-
-
-def _oracle_ap(scores, labels):
-    """Walk the descending ranking; sum precision at each positive hit."""
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    hits = 0
-    total = 0.0
-    for rank, i in enumerate(order, start=1):
-        if labels[i] == 1:
-            hits += 1
-            total += hits / rank
-    return total / labels.sum()
+# random ranking instances for the oracles in conftest.py
 
 
 def _random_instance(stream, tie_heavy):
@@ -90,7 +64,7 @@ def test_aucroc_matches_pair_oracle():
     stream = Stream(100)
     for trial in range(300):
         scores, labels = _random_instance(stream, tie_heavy=trial % 2 == 0)
-        assert abs(aucroc(scores, labels) - _oracle_aucroc(scores, labels)) <= 1e-12
+        assert abs(aucroc(scores, labels) - oracle_aucroc(scores, labels)) <= 1e-12
 
 
 def test_aucroc_rejects_single_class():
@@ -115,7 +89,7 @@ def test_ap_matches_definitional_oracle():
     for trial in range(300):
         scores, labels = _random_instance(stream, tie_heavy=trial % 3 == 0)
         got = average_precision(scores, labels)
-        assert abs(got - _oracle_ap(scores, labels)) <= 1e-12
+        assert abs(got - oracle_ap(scores, labels)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
